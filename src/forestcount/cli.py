@@ -74,6 +74,12 @@ def _guard_box(cmax: int, dmax: int) -> None:
             f"(raise FORESTCOUNT_MAX_CELLS to override)")
 
 
+def _guard_oracle(degree: int) -> None:
+    if degree > MAX_ORACLE_DEGREE:
+        raise ResourceGuard(
+            f"oracle degree {degree} above guard {MAX_ORACLE_DEGREE}")
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -206,9 +212,7 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_oracle(args) -> int:
     d = args.degree
-    if d > MAX_ORACLE_DEGREE:
-        raise ResourceGuard(
-            f"oracle degree {d} above guard {MAX_ORACLE_DEGREE}")
+    _guard_oracle(d)
     diagrams = enumerate_flat(d)
     expected = flat_count(d)
     if args.dump:
@@ -234,10 +238,13 @@ def cmd_verify(args) -> int:
         "min-poly": {"cmax": args.box, "dmax": args.box},
         "system-equation": {"cmax": args.box, "dmax": args.box},
     }
-    _guard_box(2 * args.row_sum_dmax, args.row_sum_dmax)
     if args.only and args.only not in CHECKS:
         raise UsageError(f"unknown check {args.only!r}; available: "
                          + ", ".join(CHECKS))
+    if not args.only or args.only == "row-sum":
+        _guard_box(2 * args.row_sum_dmax, args.row_sum_dmax)
+    if not args.only or args.only == "oracle":
+        _guard_oracle(args.oracle_degree)
     reports = run_suite(only=args.only, overrides=overrides)
     out_lines = []
     for rep in reports:
@@ -249,7 +256,9 @@ def cmd_verify(args) -> int:
             if rep["check"] == "growth-constant":
                 extra = f"  value={rep['details']['value']:.6f}"
             elif rep["check"] == "row-sum":
-                extra = (f"  final_ratio={rep['details']['final_ratio']:.4f}"
+                ratio = rep["details"]["final_ratio"]
+                shown = "n/a" if ratio is None else f"{ratio:.4f}"
+                extra = (f"  final_ratio={shown}"
                          f"  growth={rep['details']['growth_constant']:.4f}")
             elif rep["check"] == "cross-routes":
                 extra = ("  matches=" +

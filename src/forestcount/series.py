@@ -13,65 +13,79 @@ Instances are immutable after construction and safe to share across
 threads; all operations are pure functions.
 
 Products are computed through a packed representation: each d-row is
-encoded into one big integer with fixed-width slots along c, turning a
-whole row convolution into a single int multiplication.  That keeps the
-dominant cost inside CPython's big-int multiply rather than Python-level
-loops, which is what makes the large verification boxes affordable.  A
-plain nested-loop product (`mul_reference`) is kept alongside and is
-cross-checked against the packed product by the test suite.
+encoded into one signed big integer sum_c row[c] * 2**(8*bps*c) with
+fixed-width slots along c, turning a whole row convolution into a single
+int multiplication whatever the signs.  Slots are sized so that every
+slot of a product stays below 2**(8*bps-1) in absolute value; a product
+row is read back by adding a bias with the top bit of each slot set
+(computed once per product), flipping those bits back and reading each
+slot as a two's-complement value.  That keeps the dominant cost inside
+CPython's big-int multiply rather than Python-level loops, which is what
+makes the large verification boxes affordable.  A plain nested-loop
+product (`mul_reference`) is kept alongside and is cross-checked against
+the packed product by the test suite.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class BoxMismatchError(ValueError):
     """Two series with different truncation boxes were combined."""
 
 
-def _absmax(rows: tuple[tuple[int, ...], ...]) -> tuple[int, bool]:
-    """Largest |coefficient| and whether any coefficient is negative."""
-    biggest = 0
-    negative = False
-    for row in rows:
-        for v in row:
-            if v < 0:
-                negative = True
-                v = -v
-            if v > biggest:
-                biggest = v
-    return biggest, negative
+def _absmax(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Largest |coefficient| in the given rows (0 for no rows)."""
+    return max((max(map(abs, row)) for row in rows), default=0)
 
 
-def _split_pack(row: tuple[int, ...], bps: int) -> tuple[int, int]:
-    """Pack a row into (positive-part, negative-part) slot integers.
+def _pack(row: Sequence[int], bps: int) -> int:
+    """Pack a row into the signed slot integer sum_c row[c] * 2**(8*bps*c).
 
     Slot c occupies bytes [c*bps, (c+1)*bps) little-endian; callers size
-    bps so that any slot of any product/accumulation stays below 2**(8*bps).
+    bps so that every coefficient and every slot of any product or
+    accumulation stays below 2**(8*bps-1) in absolute value.  Each slot
+    is written in two's complement, so a negative slot also adds one to
+    the slot above; subtracting that unit returns the exact sum.
     """
-    pos = bytearray(len(row) * bps)
-    neg = None
-    for c, v in enumerate(row):
-        if v > 0:
-            nb = (v.bit_length() + 7) // 8
-            off = c * bps
-            pos[off:off + nb] = v.to_bytes(nb, "little")
-        elif v < 0:
-            if neg is None:
-                neg = bytearray(len(row) * bps)
-            v = -v
-            nb = (v.bit_length() + 7) // 8
-            off = c * bps
-            neg[off:off + nb] = v.to_bytes(nb, "little")
-    return (int.from_bytes(pos, "little"),
-            0 if neg is None else int.from_bytes(neg, "little"))
+    packed = int.from_bytes(
+        b"".join([v.to_bytes(bps, "little", signed=True) for v in row]),
+        "little")
+    if min(row) < 0:
+        for c, v in enumerate(row):
+            if v < 0:
+                packed -= 1 << (8 * bps * (c + 1))
+    return packed
 
 
-def _unpack(acc: int, nslots: int, bps: int) -> list[int]:
-    """Extract the first nslots slot values (nonnegative) from a packed int."""
-    buf = acc.to_bytes(2 * nslots * bps + 8, "little")
-    return [int.from_bytes(buf[c * bps:(c + 1) * bps], "little")
+def _bias(nslots: int, bps: int) -> int:
+    """The packed int with the top bit of each of the first nslots slots set."""
+    return int.from_bytes((bytes(bps - 1) + b"\x80") * nslots, "little")
+
+
+def _mac(pa: list[int], pb: list[int], lo: int, d: int) -> int:
+    """sum_{i=lo..d} pa[i] * pb[d-i] over packed rows, zero rows skipped."""
+    acc = 0
+    for i in range(lo, d + 1):
+        a = pa[i]
+        if a:
+            b = pb[d - i]
+            if b:
+                acc += a * b
+    return acc
+
+
+def _unpack(acc: int, nslots: int, bps: int, bias: int) -> list[int]:
+    """Read the first nslots signed slots of a packed int.
+
+    bias = _bias(nslots, bps).  Adding it lifts every slot into
+    [0, 2**(8*bps)) without carries between slots; flipping the same bits
+    back leaves each slot in two's complement, read as a signed value.
+    """
+    low = ((acc + bias) & ((1 << (8 * bps * nslots)) - 1)) ^ bias
+    buf = low.to_bytes(nslots * bps, "little")
+    return [int.from_bytes(buf[c * bps:(c + 1) * bps], "little", signed=True)
             for c in range(nslots)]
 
 
@@ -220,43 +234,24 @@ class BiSeries:
         self._check_box(other)
         cmax, dmax = self.cmax, self.dmax
         dbound = min(dbound, dmax)
-        maxa, nega = _absmax(self._rows)
-        maxb, negb = _absmax(other._rows)
+        maxa = _absmax(self._rows[:dbound + 1])
+        maxb = _absmax(other._rows[:dbound + 1])
         if maxa == 0 or maxb == 0:
             return BiSeries.zero(cmax, dmax)
         cells = (cmax + 1) * (dmax + 1)
         bits = maxa.bit_length() + maxb.bit_length() + cells.bit_length() + 1
         bps = (bits + 7) // 8
-        pa = [_split_pack(r, bps) for r in self._rows]
-        pb = [_split_pack(r, bps) for r in other._rows]
-        zero_row = (0,) * (cmax + 1)
-        out: list[tuple[int, ...]] = []
+        pa = [_pack(r, bps) for r in self._rows[:dbound + 1]]
+        pb = pa if other is self else [_pack(r, bps)
+                                       for r in other._rows[:dbound + 1]]
         nslots = cmax + 1
-        signed = nega or negb
+        bias = _bias(nslots, bps)
+        zero_row = (0,) * nslots
+        out: list[tuple[int, ...]] = []
         for d in range(dbound + 1):
-            accp = 0
-            accn = 0
-            for d1 in range(d + 1):
-                p1, n1 = pa[d1]
-                p2, n2 = pb[d - d1]
-                if p1:
-                    if p2:
-                        accp += p1 * p2
-                    if n2:
-                        accn += p1 * n2
-                if n1:
-                    if n2:
-                        accp += n1 * n2
-                    if p2:
-                        accn += n1 * p2
-            if not accp and not accn:
-                out.append(zero_row)
-            elif not signed:
-                out.append(tuple(_unpack(accp, nslots, bps)))
-            else:
-                pos = _unpack(accp, nslots, bps)
-                neg = _unpack(accn, nslots, bps)
-                out.append(tuple(p - n for p, n in zip(pos, neg)))
+            acc = _mac(pa, pb, 0, d)
+            out.append(tuple(_unpack(acc, nslots, bps, bias)) if acc
+                       else zero_row)
         out.extend([zero_row] * (dmax - dbound))
         return BiSeries(cmax, dmax, tuple(out))
 
@@ -333,42 +328,31 @@ class BiSeries:
                     s += den0[j] * inv0[c - j]
             inv0[c] = -unit * s
         inv0_trivial = not any(den0[1:])
-        maxden, _ = _absmax(den._rows)
+        maxden = _absmax(den._rows[:dbound + 1])
 
         out_rows: list[list[int]] = []
         nslots = cmax + 1
         bps = 0
-        pden: list[tuple[int, int]] = []
-        pout: list[tuple[int, int]] = []
+        pden: list[int] = []
+        pout: list[int] = []
         maxout = 1
         for d in range(dbound + 1):
-            needed = (maxden.bit_length() + maxout.bit_length()
-                      + ((cmax + 1) * (d + 1)).bit_length() + 1)
-            if (needed + 7) // 8 > bps:
-                # slots grew: repack everything at the new width
-                bps = max((needed + 7) // 8, 2 * bps)
-                pden = [_split_pack(r, bps) for r in den._rows[:dbound + 1]]
-                pout = [_split_pack(tuple(r), bps) for r in out_rows]
-            accp = 0
-            accn = 0
-            for j in range(1, d + 1):
-                p1, n1 = pden[j]
-                p2, n2 = pout[d - j]
-                if p1:
-                    if p2:
-                        accp += p1 * p2
-                    if n2:
-                        accn += p1 * n2
-                if n1:
-                    if n2:
-                        accp += n1 * n2
-                    if p2:
-                        accn += n1 * p2
             rhs = list(self._rows[d])
-            if accp or accn:
-                pos = _unpack(accp, nslots, bps)
-                neg = _unpack(accn, nslots, bps)
-                rhs = [r - p + n for r, p, n in zip(rhs, pos, neg)]
+            if d:
+                needed = (maxden.bit_length() + maxout.bit_length()
+                          + ((cmax + 1) * (d + 1)).bit_length() + 1)
+                if (needed + 7) // 8 > bps:
+                    # slots grew: repack everything at the new width
+                    bps = max((needed + 7) // 8, 2 * bps)
+                    bias = _bias(nslots, bps)
+                    pden = [_pack(r, bps) for r in den._rows[:dbound + 1]]
+                    pout = [_pack(r, bps) for r in out_rows]
+                else:
+                    pout.append(_pack(out_rows[-1], bps))
+                acc = _mac(pden, pout, 1, d)
+                if acc:
+                    rhs = [r - v for r, v in
+                           zip(rhs, _unpack(acc, nslots, bps, bias))]
             if inv0_trivial:
                 row = [unit * v for v in rhs]
             else:
@@ -379,11 +363,7 @@ class BiSeries:
                             if rhs[c2]:
                                 row[c1 + c2] += v1 * rhs[c2]
             out_rows.append(row)
-            pout.append(_split_pack(tuple(row), bps))
-            for v in row:
-                a = v if v >= 0 else -v
-                if a > maxout:
-                    maxout = a
+            maxout = max(maxout, max(map(abs, row)))
         zero_row = (0,) * nslots
         rows = tuple(tuple(r) for r in out_rows)
         rows += (zero_row,) * (dmax - dbound)

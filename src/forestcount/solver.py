@@ -17,8 +17,8 @@ Every correction term in the third equation carries a factor y, so a
 fixed-point sweep starting from n2 = 1 stabilizes at least one further
 y-degree per iteration; at most dmax+1 sweeps are needed.  Sweeps keep
 the state truncated to the already-exact degrees (identical retained
-coefficients, and every intermediate stays nonnegative, which keeps the
-packed products on their fast path).  The three defining equations are
+coefficients, and every product is bounded by those rows).  The three
+defining equations are
 re-verified on the full box before a solution is returned.
 """
 
@@ -207,26 +207,29 @@ def solve_simple(cmax: int, dmax: int, check: bool = True) -> BiSeries:
 # ----------------------------------------------------------------------
 
 _cache_lock = threading.Lock()
-_cache: dict[tuple[str, int, int], SystemSolution] = {}
+_cache: dict[tuple[str, tuple[int, ...], int, int], SystemSolution] = {}
 
 
 def cached_solution(convention: str | CodimWeight, cmax: int,
                     dmax: int) -> SystemSolution:
     """solve_system with reuse: a cached solution on a covering box serves
-    any smaller query for the same convention (conventions are identified
-    by name, so reusing a name for a different weight rule confuses the
-    cache)."""
+    a smaller query under the same convention name when their validated
+    weight tables agree through the query's degree (rows d <= dmax depend
+    on weight(k) for k <= dmax only)."""
     conv = get_convention(convention)
-    for (name, cm, dm), sol in list(_cache.items()):
-        if name == conv.name and cm >= cmax and dm >= dmax:
+    weights = tuple(conv.table(dmax))
+    for (name, ws, cm, dm), sol in list(_cache.items()):
+        if (name == conv.name and cm >= cmax and dm >= dmax
+                and ws[:dmax + 1] == weights):
             return sol
     solution = solve_system(conv, cmax, dmax)
     with _cache_lock:
         dominated = [k for k in _cache
-                     if k[0] == conv.name and k[1] <= cmax and k[2] <= dmax]
+                     if k[0] == conv.name and k[2] <= cmax and k[3] <= dmax
+                     and k[1] == weights[:k[3] + 1]]
         for key in dominated:
             del _cache[key]
-        _cache[(conv.name, cmax, dmax)] = solution
+        _cache[(conv.name, weights, cmax, dmax)] = solution
     return solution
 
 

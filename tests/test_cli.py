@@ -152,6 +152,28 @@ def test_verify_only_oracle(capsys):
     assert "PASS" in out
 
 
+def test_verify_row_sum_without_ratios_renders_na(capsys):
+    # a one-row box has no successive ratio: reported, not a traceback
+    code, out = run(capsys, "verify", "--only", "row-sum",
+                    "--row-sum-dmax", "0")
+    assert code == 2
+    assert "final_ratio=n/a" in out
+    assert "FAIL  row-sum" in out
+
+
+def test_verify_row_sum_guard_only_when_row_sum_runs(monkeypatch, capsys):
+    monkeypatch.setenv("FORESTCOUNT_MAX_CELLS", "10")
+    code, out = run(capsys, "verify", "--only", "growth-constant")
+    assert code == 0
+    assert "PASS" in out
+    assert main(["verify", "--only", "row-sum"]) == 3
+
+
+def test_verify_oracle_degree_guard_exits_3(capsys):
+    assert main(["verify", "--only", "oracle", "--oracle-degree", "9"]) == 3
+    assert main(["verify", "--oracle-degree", "9"]) == 3
+
+
 def test_verify_jsonl_schema(capsys):
     code, out = run(capsys, "verify", "--only", "q-factor",
                     "--format", "jsonl")

@@ -160,19 +160,22 @@ def test_divide_roundtrip():
 # property tests: ring axioms, packed product vs reference
 # ----------------------------------------------------------------------
 
+WIDE = 2 ** 130
+
+
 @st.composite
-def boxed_series(draw, max_c=4, max_d=4):
-    cmax = draw(st.integers(0, max_c))
+def boxed_series(draw, max_c=4, max_d=4, bound=50, min_c=0):
+    cmax = draw(st.integers(min_c, max_c))
     dmax = draw(st.integers(0, max_d))
-    coeff = st.integers(-50, 50)
+    coeff = st.integers(-bound, bound)
     rows = [[draw(coeff) for _ in range(cmax + 1)] for _ in range(dmax + 1)]
     return BiSeries(cmax, dmax, tuple(tuple(r) for r in rows))
 
 
 @st.composite
-def series_triple(draw):
-    a = draw(boxed_series())
-    coeff = st.integers(-50, 50)
+def series_triple(draw, bound=50, min_c=0):
+    a = draw(boxed_series(bound=bound, min_c=min_c))
+    coeff = st.integers(-bound, bound)
 
     def same_box():
         rows = [[draw(coeff) for _ in range(a.cmax + 1)]
@@ -180,6 +183,15 @@ def series_triple(draw):
         return BiSeries(a.cmax, a.dmax, tuple(tuple(r) for r in rows))
 
     return a, same_box(), same_box()
+
+
+def with_unit(s, unit):
+    """s with constant term unit and a nonzero x^1 y^0 term (if cmax >= 1)."""
+    rows = [list(r) for r in s._rows]
+    rows[0][0] = unit
+    if s.cmax >= 1:
+        rows[0][1] = rows[0][1] or -WIDE
+    return BiSeries(s.cmax, s.dmax, tuple(tuple(r) for r in rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +210,47 @@ def test_ring_axioms(triple):
 def test_packed_product_matches_reference(triple):
     a, b, _ = triple
     assert a * b == mul_reference(a, b)
+    assert a * a == mul_reference(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_triple(bound=WIDE))
+def test_packed_product_wide_signed_matches_reference(triple):
+    a, b, _ = triple
+    assert a * b == mul_reference(a, b)
+    assert a * a == mul_reference(a, a)
+
+
+@pytest.mark.parametrize("bits", range(1, 18))
+def test_packed_product_fills_slots(bits):
+    # all-maximal rows push a product slot to the top of its sizing bound
+    top = 2 ** bits - 1
+    for cmax, dmax in ((0, 2), (1, 1), (2, 4)):
+        full = {(c, d): top for c in range(cmax + 1) for d in range(dmax + 1)}
+        a = series_from(cmax, dmax, full)
+        for b in (a, -a):
+            assert a * b == mul_reference(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_triple(bound=WIDE), st.sampled_from([1, -1]))
+def test_bounded_rows_match_full_result(triple, unit):
+    # rows d <= k equal the full product/quotient, rows above k are zero
+    a, b, c = triple
+    den = with_unit(c, unit)
+    full_mul, full_div = a * b, a.divide(den)
+    for k in range(a.dmax + 1):
+        assert a._mul_bounded(b, k) == full_mul.truncate_degree(k)
+        assert a._divide_bounded(den, k) == full_div.truncate_degree(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_triple(bound=WIDE, min_c=1), st.sampled_from([1, -1]))
+def test_divide_roundtrip_wide_signed(triple, unit):
+    num, c, _ = triple
+    den = with_unit(c, unit)
+    assert den.coeff(1, 0) != 0
+    assert mul_reference(den, num.divide(den)) == num
 
 
 @settings(max_examples=40, deadline=None)

@@ -175,6 +175,24 @@ def test_cache_serves_subboxes():
     assert again is big
 
 
+def test_cache_keys_by_weight_table_not_name():
+    # same name, different weight rule: the cached odd box must not serve it
+    clear_cache()
+    assert count_configurations(4, 4, "odd") == ROW_D4["odd"][4]
+    renamed = CodimWeight("odd", LINEAR.weight)
+    assert count_configurations(4, 4, renamed) == ROW_D4["linear"][4]
+    assert count_configurations(4, 4, "odd") == ROW_D4["odd"][4]
+
+
+def test_cache_serves_rule_agreeing_through_query_degree():
+    # a rule that leaves odd only above the query's degree may reuse the box
+    clear_cache()
+    big = cached_solution("odd", 6, 6)
+    late = CodimWeight("odd", lambda k: 2 * k - 1 if k <= 3 else 2 * k)
+    assert cached_solution(late, 3, 3) is big
+    assert cached_solution(late, 4, 4) is not big
+
+
 def test_cache_concurrent_readers():
     clear_cache()
     results = []
