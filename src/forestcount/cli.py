@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .dp import dp_count
+from .dp import dp_count, dp_table
 from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
                        codim1_count, flat_count, simple_count)
 from .oracle import MAX_ORACLE_DEGREE, dump_diagrams, enumerate_flat
@@ -101,6 +101,19 @@ def _emit(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _finish(args, doc, text: str, ok: bool = True) -> int:
+    """Write doc as JSON (a list of reports as JSONL) or the text, as
+    --format asks, and map ok to exit 0 or 2."""
+    if args.format == "jsonl":
+        body = "\n".join(json.dumps(rep) for rep in doc)
+    elif args.format == "json":
+        body = json.dumps(doc, indent=2)
+    else:
+        body = text
+    _emit(body, args.output)
+    return EXIT_OK if ok else EXIT_DISAGREEMENT
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -117,18 +130,14 @@ def cmd_count(args) -> int:
     elif c == 1:
         values["closed-form"] = codim1_count(d)
     agree = len(set(values.values())) == 1
-    if args.format == "json":
-        doc = {"schema": "count-report@1", "codim": c, "degree": d,
-               "values": {k: str(v) for k, v in values.items()},
-               "agree": agree}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        lines = [f"#N1({c},{d})"]
-        for route, value in values.items():
-            lines.append(f"  {route:<16} {value}")
-        lines.append("routes agree" if agree else "ROUTES DISAGREE")
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK if agree else EXIT_DISAGREEMENT
+    doc = {"schema": "count-report@1", "codim": c, "degree": d,
+           "values": {k: str(v) for k, v in values.items()},
+           "agree": agree}
+    lines = [f"#N1({c},{d})"]
+    for route, value in values.items():
+        lines.append(f"  {route:<16} {value}")
+    lines.append("routes agree" if agree else "ROUTES DISAGREE")
+    return _finish(args, doc, "\n".join(lines), agree)
 
 
 def cmd_table(args) -> int:
@@ -142,7 +151,6 @@ def cmd_table(args) -> int:
                     for c in range(cmax + 1)]
             tables.append(CountTable.from_rows(rows, "n1", "solver", name))
     elif args.route == "dp":
-        from .dp import dp_table
         tables.append(CountTable.from_rows(dp_table(cmax, dmax), "n1", "dp"))
     else:  # closed-form: only the c <= 1 rows have formulas
         if cmax > 1:
@@ -151,19 +159,15 @@ def cmd_table(args) -> int:
         if cmax == 1:
             rows.append([codim1_count(d) for d in range(dmax + 1)])
         tables.append(CountTable.from_rows(rows, "n1", "closed-form"))
-    if args.format == "json":
-        doc = {"schema": "table-report@1",
-               "tables": [t.to_json_dict() for t in tables]}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        blocks = []
-        for t in tables:
-            head = f"# family={t.family} route={t.route}"
-            if t.convention:
-                head += f" convention={t.convention}"
-            blocks.append(head + "\n" + t.to_csv())
-        _emit("\n".join(blocks), args.output)
-    return EXIT_OK
+    doc = {"schema": "table-report@1",
+           "tables": [t.to_json_dict() for t in tables]}
+    blocks = []
+    for t in tables:
+        head = f"# family={t.family} route={t.route}"
+        if t.convention:
+            head += f" convention={t.convention}"
+        blocks.append(head + "\n" + t.to_csv())
+    return _finish(args, doc, "\n".join(blocks))
 
 
 def cmd_simple(args) -> int:
@@ -176,17 +180,13 @@ def cmd_simple(args) -> int:
                   for c in range(cmax + 1) for d in range(dmax + 1)
                   if n4.coeff(c, d) != closed[c][d]]
     table = CountTable.from_rows(closed, "n4", "closed-form")
-    if args.format == "json":
-        doc = {"schema": "simple-report@1",
-               "table": table.to_json_dict(),
-               "solver_matches_closed_form": not mismatches,
-               "mismatches": mismatches[:20]}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        status = ("solver route matches closed form" if not mismatches
-                  else f"ROUTES DISAGREE on {len(mismatches)} cells")
-        _emit(table.to_csv() + status, args.output)
-    return EXIT_OK if not mismatches else EXIT_DISAGREEMENT
+    doc = {"schema": "simple-report@1",
+           "table": table.to_json_dict(),
+           "solver_matches_closed_form": not mismatches,
+           "mismatches": mismatches[:20]}
+    status = ("solver route matches closed form" if not mismatches
+              else f"ROUTES DISAGREE on {len(mismatches)} cells")
+    return _finish(args, doc, table.to_csv() + status, not mismatches)
 
 
 def cmd_asymptotics(args) -> int:
@@ -199,15 +199,11 @@ def cmd_asymptotics(args) -> int:
     doc = {"schema": "asymptotics-report@1", "codim": c, "degree": d,
            "exact": str(exact), "estimate": asymptotic_estimate(c, d),
            "log_estimate": asymptotic_log(c, d), "exact_over_estimate": ratio}
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        _emit("\n".join([
-            f"exact simple count  {exact}",
-            f"asymptotic estimate {doc['estimate']:.6e}",
-            f"exact / estimate    {ratio:.6f}",
-        ]), args.output)
-    return EXIT_OK
+    return _finish(args, doc, "\n".join([
+        f"exact simple count  {exact}",
+        f"asymptotic estimate {doc['estimate']:.6e}",
+        f"exact / estimate    {ratio:.6f}",
+    ]))
 
 
 def cmd_oracle(args) -> int:
@@ -218,16 +214,31 @@ def cmd_oracle(args) -> int:
     if args.dump:
         _emit(dump_diagrams(diagrams), args.dump)
     agree = len(diagrams) == expected
-    if args.format == "json":
-        doc = {"schema": "oracle-report@1", "degree": d,
-               "enumerated": len(diagrams), "closed_form": expected,
-               "agree": agree}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        _emit(f"degree {d}: enumerated {len(diagrams)}, "
-              f"closed form {expected}, {'agree' if agree else 'DISAGREE'}",
-              args.output)
-    return EXIT_OK if agree else EXIT_DISAGREEMENT
+    doc = {"schema": "oracle-report@1", "degree": d,
+           "enumerated": len(diagrams), "closed_form": expected,
+           "agree": agree}
+    text = (f"degree {d}: enumerated {len(diagrams)}, "
+            f"closed form {expected}, {'agree' if agree else 'DISAGREE'}")
+    return _finish(args, doc, text, agree)
+
+
+def _check_line(rep: dict) -> str:
+    """The text line of one verify report, with a check-specific suffix."""
+    details = rep["details"]
+    extra = ""
+    if rep["check"] == "growth-constant":
+        extra = f"  value={details['value']:.6f}"
+    elif rep["check"] == "row-sum":
+        ratio = details["final_ratio"]
+        shown = "n/a" if ratio is None else f"{ratio:.4f}"
+        extra = (f"  final_ratio={shown}"
+                 f"  growth={details['growth_constant']:.4f}")
+    elif rep["check"] == "cross-routes":
+        extra = "  matches=" + ",".join(details["matching_conventions"])
+    elif rep["check"] == "alt-tail":
+        extra = "  annihilating_tail=" + ",".join(
+            map(str, details["annihilating_tail"]))
+    return f"{rep['status'].upper():>7}  {rep['check']}{extra}"
 
 
 def cmd_verify(args) -> int:
@@ -241,42 +252,28 @@ def cmd_verify(args) -> int:
     if args.only and args.only not in CHECKS:
         raise UsageError(f"unknown check {args.only!r}; available: "
                          + ", ".join(CHECKS))
-    if not args.only or args.only == "row-sum":
-        _guard_box(2 * args.row_sum_dmax, args.row_sum_dmax)
-    if not args.only or args.only == "oracle":
-        _guard_oracle(args.oracle_degree)
+    # guard every user-sized box before any check runs; the artifact is
+    # built on the cross-routes box, and row-sum solves (2*dmax, dmax)
+    guarded = [args.only] if args.only else list(CHECKS)
+    if args.artifact:
+        guarded.append("cross-routes")
+    for name in guarded:
+        kwargs = overrides.get(name, {})
+        if "max_degree" in kwargs:
+            _guard_oracle(kwargs["max_degree"])
+        elif kwargs:
+            _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
     reports = run_suite(only=args.only, overrides=overrides)
-    out_lines = []
-    for rep in reports:
-        if args.format == "jsonl":
-            out_lines.append(json.dumps(rep))
-        else:
-            status = rep["status"].upper()
-            extra = ""
-            if rep["check"] == "growth-constant":
-                extra = f"  value={rep['details']['value']:.6f}"
-            elif rep["check"] == "row-sum":
-                ratio = rep["details"]["final_ratio"]
-                shown = "n/a" if ratio is None else f"{ratio:.4f}"
-                extra = (f"  final_ratio={shown}"
-                         f"  growth={rep['details']['growth_constant']:.4f}")
-            elif rep["check"] == "cross-routes":
-                extra = ("  matches=" +
-                         ",".join(rep["details"]["matching_conventions"]))
-            elif rep["check"] == "alt-tail":
-                tails = rep["details"]["annihilating_tail"]
-                extra = "  annihilating_tail=" + ",".join(map(str, tails))
-            out_lines.append(f"{status:>7}  {rep['check']}{extra}")
     ok = suite_passed(reports)
-    if args.format != "jsonl":
-        out_lines.append("all checks passed" if ok else "SUITE FAILED")
-    _emit("\n".join(out_lines), args.output)
+    lines = [_check_line(rep) for rep in reports]
+    lines.append("all checks passed" if ok else "SUITE FAILED")
+    code = _finish(args, reports, "\n".join(lines), ok)
     if args.artifact:
         doc = route_agreement_document(args.cross_cmax, args.cross_dmax)
         with open(args.artifact, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return EXIT_OK if ok else EXIT_DISAGREEMENT
+    return code
 
 
 # ----------------------------------------------------------------------

@@ -256,20 +256,18 @@ class BiSeries:
         return BiSeries(cmax, dmax, tuple(out))
 
     def __pow__(self, e: int) -> "BiSeries":
-        return self._pow_bounded(e, self.dmax)
-
-    def _pow_bounded(self, e: int, dbound: int) -> "BiSeries":
         """e-th truncated power by binary exponentiation (e >= 0)."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = BiSeries.one(self.cmax, self.dmax)
-        base = self
+        if e == 0:
+            return BiSeries.one(self.cmax, self.dmax)
+        result, base = None, self
         while e:
             if e & 1:
-                result = result._mul_bounded(base, dbound)
+                result = base if result is None else result * base
             e >>= 1
             if e:
-                base = base._mul_bounded(base, dbound)
+                base = base * base
         return result
 
     def shift(self, dc: int, dd: int) -> "BiSeries":

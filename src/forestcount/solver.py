@@ -140,14 +140,14 @@ def _weighted_tail(n2: BiSeries, n3: BiSeries, weights: list[int],
     return acc
 
 
-def solve_system(convention: str | CodimWeight, cmax: int, dmax: int,
-                 check: bool = True) -> SystemSolution:
+def solve_system(convention: str | CodimWeight, cmax: int,
+                 dmax: int) -> SystemSolution:
     """Solve the three-equation system on the box (cmax, dmax).
 
-    Returns the unique solution with nonnegative coefficients.  Raises
-    ConvergenceError if the sweeps fail to stabilize (impossible for a
-    correct implementation) and NegativeCoefficientError if any count
-    comes out negative.
+    Returns the unique solution with nonnegative coefficients, always
+    re-checked by SystemSolution.verify.  Raises ConvergenceError if the
+    sweeps fail to stabilize (impossible for a correct implementation)
+    and NegativeCoefficientError if any count comes out negative.
     """
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
@@ -168,16 +168,16 @@ def solve_system(convention: str | CodimWeight, cmax: int, dmax: int,
     else:
         raise ConvergenceError(
             f"no fixed point within {dmax + 1} sweeps on ({cmax},{dmax})")
-    n1 = one + (n2 * n2 * n2 * n2).shift(0, 1)
-    n3 = n2.divide(n1)
+    # n1(0, d) > 0 for every d, so only the sweep with exact = dmax can
+    # reproduce n2: its n1 and n3 are already the full-box series
     solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))
-    if check:
-        solution.verify()
+    solution.verify()
     return solution
 
 
-def solve_simple(cmax: int, dmax: int, check: bool = True) -> BiSeries:
-    """Solve n4 = 1 + y n4^4 + 4 x y^2 n4^8 (simple configurations)."""
+def solve_simple(cmax: int, dmax: int) -> BiSeries:
+    """Solve n4 = 1 + y n4^4 + 4 x y^2 n4^8 (simple configurations),
+    re-checked on the full box."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     one = BiSeries.one(cmax, dmax)
@@ -194,11 +194,10 @@ def solve_simple(cmax: int, dmax: int, check: bool = True) -> BiSeries:
     else:
         raise ConvergenceError(
             f"no fixed point within {dmax + 1} sweeps on ({cmax},{dmax})")
-    if check:
-        if n4 != one + (n4 ** 4).shift(0, 1) + (n4 ** 8).scale(4).shift(1, 2):
-            raise SolverError("simple-configuration equation violated")
-        if n4.min_coefficient() < 0:
-            raise NegativeCoefficientError("negative coefficient in n4")
+    if n4 != one + (n4 ** 4).shift(0, 1) + (n4 ** 8).scale(4).shift(1, 2):
+        raise SolverError("simple-configuration equation violated")
+    if n4.min_coefficient() < 0:
+        raise NegativeCoefficientError("negative coefficient in n4")
     return n4
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 from .dp import cross_validate, dp_count, dp_table
 from .formulas import (asymptotic_ratio, codim1_count, flat_count,
@@ -191,12 +193,7 @@ def residual_bivariate(poly: ZPolynomial, z: BiSeries) -> BiSeries:
 
 
 def _nonzero_cells(series: BiSeries, limit: int = 20) -> list[list[int]]:
-    cells = []
-    for c, d, v in series.terms():
-        cells.append([c, d, v])
-        if len(cells) == limit:
-            break
-    return cells
+    return [list(cell) for cell in islice(series.terms(), limit)]
 
 
 def check_min_poly(cmax: int = 12, dmax: int = 12) -> dict:
@@ -229,17 +226,13 @@ def check_q_consistency() -> dict:
 def check_q_factor() -> dict:
     """Q(0, z) must factor as -16 (1 - z)^6 exactly."""
     got = derived_q().z_coeffs_at_origin()
-    want = {e: -16 * (-1) ** e * _binom6(e) for e in range(7)}
+    want = {e: -16 * (-1) ** e * comb(6, e) for e in range(7)}
     bad = sorted(set(got) | set(want))
     bad = [[e, got.get(e, 0), want.get(e, 0)] for e in bad
            if got.get(e, 0) != want.get(e, 0)]
     if not bad:
         return _report("q-factor", "pass", coefficients=sorted(got.items()))
     return _report("q-factor", "fail", bad)
-
-
-def _binom6(e: int) -> int:
-    return (1, 6, 15, 20, 15, 6, 1)[e] if 0 <= e <= 6 else 0
 
 
 def check_system_equation(cmax: int = 12, dmax: int = 12) -> dict:
@@ -304,16 +297,6 @@ def check_growth_constant() -> dict:
 # row sums
 # ----------------------------------------------------------------------
 
-def _u_mul(a: list[int], b: list[int], bound: int) -> list[int]:
-    out = [0] * (bound + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(min(bound - i, len(b) - 1) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 RATIO_WINDOW = (20.0, 27.0)
 
 
@@ -337,17 +320,10 @@ def row_sum_check(dmax: int = 60, convention: str = "odd") -> dict:
             break
         stable_from = d
     # Q(y, S(y)) == 0 through order dmax
-    q = derived_q()
-    maxz = max(t[2] for t in q.terms)
-    powers = [[0] * (dmax + 1) for _ in range(maxz + 1)]
-    powers[0][0] = 1
-    for e in range(1, maxz + 1):
-        powers[e] = _u_mul(powers[e - 1], sums, dmax)
-    residual = [0] * (dmax + 1)
-    for _, ye, ze, co in q.terms:
-        for d in range(dmax + 1 - ye):
-            residual[d + ye] += co * powers[ze][d]
-    offending = [[d, v] for d, v in enumerate(residual) if v][:20]
+    row_sums = BiSeries.from_terms(0, dmax,
+                                   {(0, d): s for d, s in enumerate(sums)})
+    residual = derived_q().residual(row_sums)
+    offending = [[d, v] for _, d, v in islice(residual.terms(), 20)]
     rate = growth_constant()
     final_ratio = ratios[-1] if ratios else None
     ok = not offending and stable_from < dmax
@@ -365,38 +341,29 @@ def row_sum_check(dmax: int = 60, convention: str = "odd") -> dict:
 # route, closed-form, oracle and asymptotic checks
 # ----------------------------------------------------------------------
 
-def check_flat_row(dmax: int = 30) -> dict:
-    """Row c = 0 must agree across solver (both conventions), the
-    recurrence route and the closed form."""
-    routes = {
-        "closed-form": [flat_count(d) for d in range(dmax + 1)],
-        "dp": dp_table(0, dmax)[0],
-        "solver[odd]": [cached_solution("odd", 0, dmax).n1.coeff(0, d)
-                        for d in range(dmax + 1)],
-        "solver[linear]": [cached_solution("linear", 0, dmax).n1.coeff(0, d)
-                           for d in range(dmax + 1)],
-    }
+def _row_check(check: str, c: int, closed_form, dmax: int) -> dict:
+    """Row c must agree across solver (both conventions), the recurrence
+    route and the closed form."""
+    routes = {"closed-form": [closed_form(d) for d in range(dmax + 1)],
+              "dp": dp_table(c, dmax)[c]}
+    for name in ("odd", "linear"):
+        n1 = cached_solution(name, c, dmax).n1
+        routes[f"solver[{name}]"] = [n1.coeff(c, d) for d in range(dmax + 1)]
     reference = routes["closed-form"]
     bad = [[name, d] for name, row in routes.items()
            for d in range(dmax + 1) if row[d] != reference[d]]
-    return _report("flat-row", "pass" if not bad else "fail", bad,
+    return _report(check, "pass" if not bad else "fail", bad,
                    dmax=dmax, first_values=[str(v) for v in reference[:8]])
+
+
+def check_flat_row(dmax: int = 30) -> dict:
+    """Row c = 0 against the flat-count closed form."""
+    return _row_check("flat-row", 0, flat_count, dmax)
 
 
 def check_codim1_row(dmax: int = 30) -> dict:
-    routes = {
-        "closed-form": [codim1_count(d) for d in range(dmax + 1)],
-        "dp": [dp_table(1, dmax)[1][d] for d in range(dmax + 1)],
-        "solver[odd]": [cached_solution("odd", 1, dmax).n1.coeff(1, d)
-                        for d in range(dmax + 1)],
-        "solver[linear]": [cached_solution("linear", 1, dmax).n1.coeff(1, d)
-                           for d in range(dmax + 1)],
-    }
-    reference = routes["closed-form"]
-    bad = [[name, d] for name, row in routes.items()
-           for d in range(dmax + 1) if row[d] != reference[d]]
-    return _report("codim1-row", "pass" if not bad else "fail", bad,
-                   dmax=dmax, first_values=[str(v) for v in reference[:8]])
+    """Row c = 1 against the codimension-1 closed form."""
+    return _row_check("codim1-row", 1, codim1_count, dmax)
 
 
 def check_simple_closed_form(cmax: int = 10, dmax: int = 30) -> dict:
@@ -411,15 +378,16 @@ def check_simple_closed_form(cmax: int = 10, dmax: int = 30) -> dict:
 
 def check_fuss_convolution(amax: int = 5, bmax: int = 10) -> dict:
     """Closed form vs the literal convolution of flat counts."""
-    flats = [flat_count(d) for d in range(bmax + 1)]
+    flats = BiSeries.from_terms(
+        0, bmax, {(0, d): flat_count(d) for d in range(bmax + 1)})
+    conv = BiSeries.one(0, bmax)
     bad = []
     for a in range(1, amax + 1):
-        conv = [1] + [0] * bmax
-        for _ in range(a):
-            conv = _u_mul(conv, flats, bmax)
+        conv = conv * flats
         for b in range(bmax + 1):
-            if conv[b] != fuss_convolution(a, b):
-                bad.append([a, b, conv[b], fuss_convolution(a, b)])
+            got, want = conv.coeff(0, b), fuss_convolution(a, b)
+            if got != want:
+                bad.append([a, b, got, want])
     return _report("fuss-convolution", "pass" if not bad else "fail", bad,
                    amax=amax, bmax=bmax)
 
@@ -427,17 +395,12 @@ def check_fuss_convolution(amax: int = 5, bmax: int = 10) -> dict:
 def check_support_bound(cmax: int = 40, dmax: int = 20) -> dict:
     """n1(c, d) = 0 whenever c >= 2d (except the empty configuration at
     (0,0)), on every route."""
-    bad = []
-    for name in ("odd", "linear"):
-        n1 = cached_solution(name, cmax, dmax).n1
-        for c in range(cmax + 1):
-            for d in range(dmax + 1):
-                if c >= 2 * d and (c, d) != (0, 0) and n1.coeff(c, d) != 0:
-                    bad.append([f"solver[{name}]", c, d])
-    for c in range(cmax + 1):
-        for d in range(dmax + 1):
-            if c >= 2 * d and (c, d) != (0, 0) and dp_count(c, d) != 0:
-                bad.append(["dp", c, d])
+    routes = {f"solver[{name}]": cached_solution(name, cmax, dmax).n1.coeff
+              for name in ("odd", "linear")}
+    routes["dp"] = dp_count
+    bad = [[route, c, d] for route, count in routes.items()
+           for c in range(cmax + 1) for d in range(dmax + 1)
+           if c >= 2 * d and (c, d) != (0, 0) and count(c, d) != 0]
     if codim1_count(0) != 0:
         bad.append(["closed-form", 1, 0])
     return _report("support-bound", "pass" if not bad else "fail", bad[:20],
@@ -503,7 +466,7 @@ def check_oracle(max_degree: int = 3) -> dict:
 # suite registry
 # ----------------------------------------------------------------------
 
-# name -> (function, scale-kwarg names accepted)
+# name -> check function; run_suite passes per-check keyword overrides
 CHECKS = {
     "flat-row": check_flat_row,
     "codim1-row": check_codim1_row,

@@ -1,13 +1,33 @@
 import json
+from pathlib import Path
 
 from forestcount.cli import main
+from forestcount.solver import cached_solution
 from forestcount.tables import CountTable
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_golden_outputs_after_covering_box_is_cached(capsys):
+    """Exact stdout and exit code of every command and format.
+
+    `cli_golden.json` holds the recorded output of each invocation.  The
+    (8, 8) solutions cached first cover every solver box asked below, so
+    a command that rendered the cached box instead of the requested one
+    would show here.
+    """
+    for name in ("odd", "linear"):
+        cached_solution(name, 8, 8)
+    for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        code = main(case["argv"])
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_count_agreeing_routes(capsys):
@@ -167,6 +187,19 @@ def test_verify_row_sum_guard_only_when_row_sum_runs(monkeypatch, capsys):
     assert code == 0
     assert "PASS" in out
     assert main(["verify", "--only", "row-sum"]) == 3
+
+
+def test_verify_guards_every_user_sized_box(monkeypatch, tmp_path):
+    monkeypatch.setenv("FORESTCOUNT_MAX_CELLS", "10")
+    for argv in (["--only", "system-equation", "--box", "12"],
+                 ["--only", "min-poly", "--box", "12"],
+                 ["--only", "cross-routes", "--cross-cmax", "4",
+                  "--cross-dmax", "4"]):
+        assert main(["verify", *argv]) == 3, argv
+    target = tmp_path / "route_agreement.json"
+    assert main(["verify", "--only", "growth-constant",
+                 "--artifact", str(target)]) == 3
+    assert not target.exists()
 
 
 def test_verify_oracle_degree_guard_exits_3(capsys):

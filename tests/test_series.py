@@ -233,6 +233,15 @@ def test_packed_product_fills_slots(bits):
 
 
 @settings(max_examples=40, deadline=None)
+@given(boxed_series(max_c=3, max_d=3, bound=WIDE))
+def test_pow_matches_repeated_reference_products(a):
+    expected = BiSeries.one(a.cmax, a.dmax)
+    for e in range(6):
+        assert a ** e == expected, e
+        expected = mul_reference(expected, a)
+
+
+@settings(max_examples=40, deadline=None)
 @given(series_triple(bound=WIDE), st.sampled_from([1, -1]))
 def test_bounded_rows_match_full_result(triple, unit):
     # rows d <= k equal the full product/quotient, rows above k are zero

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from forestcount.series import BiSeries
 from forestcount.solver import cached_solution
 from forestcount.verify import (CHECKS, ODD_EQUATION, P_MIN, Q_REFERENCE,
                                 ZPolynomial, check_alt_tails,
-                                check_asymptotics, check_cross_routes,
-                                check_flat_row, check_fuss_convolution,
+                                check_asymptotics, check_codim1_row,
+                                check_cross_routes, check_flat_row,
+                                check_fuss_convolution,
                                 check_growth_constant, check_min_poly,
                                 check_oracle, check_q_consistency,
                                 check_q_factor, check_simple_closed_form,
@@ -136,6 +138,16 @@ def test_row_sums_small_box():
     assert report["details"]["ratios_stable_from"] == 7
 
 
+def test_q_annihilates_row_sum_series():
+    sums = {(0, d): s for d, s in enumerate(EXPECTED_ROW_SUMS)}
+    assert derived_q().residual(BiSeries.from_terms(0, 10, sums)).is_zero()
+    # Q(0, z) = -16 (1 - z)^6 vanishes to sixth order at z = S_0 = 1, so
+    # an error in S_5 first shows at y^6, through dQ/dz of Q's y^1 terms
+    sums[(0, 5)] += 1
+    residual = derived_q().residual(BiSeries.from_terms(0, 10, sums))
+    assert next(residual.terms()) == (0, 6, 1)
+
+
 def test_row_sum_report_schema():
     report = row_sum_check(8)
     for key in ("schema", "check", "status", "offending_cells", "details"):
@@ -149,6 +161,12 @@ def test_row_sum_report_schema():
 
 def test_flat_row_check():
     assert check_flat_row(10)["status"] == "pass"
+
+
+def test_codim1_row_check():
+    report = check_codim1_row(10)
+    assert report["status"] == "pass"
+    assert report["details"]["first_values"][:4] == ["0", "0", "4", "48"]
 
 
 def test_simple_closed_form_check():
