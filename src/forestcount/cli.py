@@ -270,9 +270,7 @@ def cmd_verify(args) -> int:
     code = _finish(args, reports, "\n".join(lines), ok)
     if args.artifact:
         doc = route_agreement_document(args.cross_cmax, args.cross_dmax)
-        with open(args.artifact, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(doc, indent=2) + "\n", args.artifact)
     return code
 
 
@@ -340,7 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--box", type=_nonneg, default=12,
                    help="box side for the polynomial residual checks")
     p.add_argument("--artifact", default=None,
-                   help="also write the route-agreement JSON artifact here")
+                   help="also write the route-agreement JSON artifact to "
+                        "this path ('-' for stdout)")
     add_common(p, formats=("text", "jsonl"))
     p.set_defaults(func=cmd_verify)
 

@@ -227,12 +227,15 @@ class BiSeries:
     def _mul_bounded(self, other: "BiSeries", dbound: int) -> "BiSeries":
         """Truncated product, computed only for rows d <= dbound.
 
-        Rows above dbound come out zero.  With nonnegative exponents the
-        retained rows are exact, so internal callers can shrink dbound
-        when higher rows are about to be shifted out or truncated away.
+        Rows above dbound come out zero (all rows when dbound < 0).  With
+        nonnegative exponents the retained rows are exact, so internal
+        callers can shrink dbound when higher rows are about to be shifted
+        out or truncated away.
         """
         self._check_box(other)
         cmax, dmax = self.cmax, self.dmax
+        if dbound < 0:
+            return BiSeries.zero(cmax, dmax)
         dbound = min(dbound, dmax)
         maxa = _absmax(self._rows[:dbound + 1])
         maxb = _absmax(other._rows[:dbound + 1])
@@ -291,6 +294,20 @@ class BiSeries:
         rows = self._rows[:dbound + 1] + (zero_row,) * (self.dmax - dbound)
         return BiSeries(self.cmax, self.dmax, rows)
 
+    def crop(self, cmax: int, dmax: int) -> "BiSeries":
+        """The series truncated to the smaller box (cmax, dmax).
+
+        Exact: with nonnegative exponents no coefficient inside the
+        smaller box depends on one outside it.
+        """
+        if not (0 <= cmax <= self.cmax and 0 <= dmax <= self.dmax):
+            raise ValueError(f"({cmax},{dmax}) is not inside box "
+                             f"({self.cmax},{self.dmax})")
+        if (cmax, dmax) == (self.cmax, self.dmax):
+            return self
+        rows = tuple(row[:cmax + 1] for row in self._rows[:dmax + 1])
+        return BiSeries(cmax, dmax, rows)
+
     # ------------------------------------------------------------------
     # division
     # ------------------------------------------------------------------
@@ -315,6 +332,8 @@ class BiSeries:
         unit = den._rows[0][0]
         if unit not in (1, -1):
             raise ValueError(f"constant term must be +-1, got {unit}")
+        if dbound < 0:
+            return BiSeries.zero(cmax, dmax)
         # univariate inverse (in x) of den's d=0 row
         den0 = den._rows[0]
         inv0 = [0] * (cmax + 1)

@@ -1,4 +1,4 @@
-"""Fixed-point solver for the configuration-counting equation system.
+"""Newton solver for the configuration-counting equation system.
 
 The three mutually recursive series are
 
@@ -13,13 +13,13 @@ where k even lines touch the base line is pluggable; two built-in
 conventions are provided and every query can be run under either, so
 that any convention-dependent cell is surfaced rather than hidden.
 
-Every correction term in the third equation carries a factor y, so a
-fixed-point sweep starting from n2 = 1 stabilizes at least one further
-y-degree per iteration; at most dmax+1 sweeps are needed.  Sweeps keep
-the state truncated to the already-exact degrees (identical retained
-coefficients, and every product is bounded by those rows).  The three
-defining equations are
-re-verified on the full box before a solution is returned.
+Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
+n4 = G(n4) for simple configurations).  Newton's iteration
+z <- z + (G(z) - z) / (1 - G'(z)) doubles the number of exact y-degrees
+at each step (Brent and Kung, J. ACM 25(4), 1978), so about log2(dmax)
+steps reach the box, and every product in a step is bounded by the
+rows that step makes exact.  The defining equations are re-verified on
+the full box before a solution is returned.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .series import BiSeries
 
 class SolverError(RuntimeError):
     pass
-
-
-class ConvergenceError(SolverError):
-    """The sweep count exceeded dmax+1; the system is degree-triangular,
-    so this signals an implementation bug, not bad input."""
 
 
 class NegativeCoefficientError(SolverError):
@@ -103,11 +98,12 @@ class SystemSolution:
         cmax, dmax = self.box
         one = BiSeries.one(cmax, dmax)
         weights = self.convention.table(dmax) if dmax >= 1 else []
-        if self.n1 != one + (self.n2 ** 4).shift(0, 1):
+        n2p4 = self.n2 ** 4
+        if self.n1 != one + n2p4.shift(0, 1):
             raise SolverError("equation n1 = 1 + y n2^4 violated")
         if self.n1 * self.n3 != self.n2:
             raise SolverError("equation n2 = n1 n3 violated")
-        tail = _weighted_tail(self.n2, self.n3, weights, dmax)
+        tail = _weighted_tail(self.n2, n2p4 * self.n3, weights)
         if self.n2 != self.n1 + tail:
             raise SolverError("meeting-point equation for n2 violated")
         for name, s in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
@@ -115,85 +111,144 @@ class SystemSolution:
                 raise NegativeCoefficientError(f"negative coefficient in {name}")
 
 
-def _weighted_tail(n2: BiSeries, n3: BiSeries, weights: list[int],
-                   dstate: int) -> BiSeries:
-    """sum_k x^weight(k) y^k n2^(4k+1) n3^k, truncated to the box.
+def _weighted_tail(n2: BiSeries, u: BiSeries,
+                   weights: list[int]) -> BiSeries:
+    """sum_k x^weight(k) y^k n2 u^k for u = n2^4 n3, truncated to the box.
 
-    Computed incrementally (g_k = g_{k-1} * n2^4 n3) with each product
-    bounded by the rows that survive the y^k shift.  dstate bounds the
-    rows of n2/n3 that are known-exact during a sweep.
+    Computed incrementally (g_k = g_{k-1} * u) with each product bounded
+    by the rows that survive the y^k shift.
     """
     cmax, dmax = n2.cmax, n2.dmax
     acc = BiSeries.zero(cmax, dmax)
     if dmax < 1 or not weights:
         return acc
-    u = n2._mul_bounded(n2, dstate)
-    u = u._mul_bounded(u, dstate)
-    u = u._mul_bounded(n3, dstate)          # n2^4 n3
     g = n2
     for k in range(1, dmax + 1):
         w = weights[k]
         if w > cmax:
             break                           # weights nondecreasing
-        g = g._mul_bounded(u, min(dstate, dmax - k))
+        g = g._mul_bounded(u, dmax - k)
         acc = acc + g.shift(w, k)
     return acc
+
+
+def _newton(step, one: BiSeries) -> BiSeries:
+    """The root of z = G(z) with z(x, 0) = 1, on one's box.
+
+    step(z, b, e) returns G(z) exact through row b and G'(z) exact
+    through row e.  z starts exact on rows < p = 1; each step makes rows
+    < q = min(2p, dmax+1) exact.  The numerator G(z) - z has y-valuation
+    >= p, so rows < q of the quotient need the denominator 1 - G'(z)
+    only through row q-p-1, and G' has y-valuation >= 1, so that
+    denominator has constant term 1.
+    """
+    z, p = one, 1
+    while p <= one.dmax:
+        q = min(2 * p, one.dmax + 1)
+        b, e = q - 1, q - p - 1
+        g, dg = step(z, b, e)
+        num = (g - z).truncate_degree(b)
+        den = (one - dg).truncate_degree(e)
+        z = z + num._divide_bounded(den, b)
+        p = q
+    return z
+
+
+def _horner(t: BiSeries, weights: list[int], coeffs, kmax: int,
+            dbound: int) -> BiSeries:
+    """sum_{k=1..kmax} coeffs(k) x^(weight(k) - weight(1)) t^(k-1) through
+    row dbound, by Horner in t; t has y-valuation >= 1, so the product
+    that adds the (k+1)-th term needs rows up to dbound - k + 1 only."""
+    one = BiSeries.one(t.cmax, t.dmax)
+    h = one.scale(coeffs(kmax))
+    for k in range(kmax - 1, 0, -1):
+        h = one.scale(coeffs(k)) + t._mul_bounded(h, dbound - k + 1).shift(
+            weights[k + 1] - weights[k], 0)
+    return h
+
+
+def _system_step(weights: list[int]):
+    """The Newton step for z = n2.
+
+    With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
+    G(z) = n1 + z T(t) for T(t) = sum_k x^weight(k) t^k, and
+    G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
+    dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z dt/dz = 5t - 4tr.
+    """
+
+    def step(z: BiSeries, b: int, e: int) -> tuple[BiSeries, BiSeries]:
+        cmax = z.cmax
+        one = BiSeries.one(cmax, z.dmax)
+        z2 = z._mul_bounded(z, b - 1)
+        a = z2._mul_bounded(z2, b - 1).shift(0, 1)
+        n1 = one + a
+        r = a._divide_bounded(n1, b)
+        t = z._mul_bounded(r, b)
+        # only k <= b with weight(k) <= cmax reach the box
+        kmax = 0
+        while kmax < b and weights[kmax + 1] <= cmax:
+            kmax += 1
+        tt = BiSeries.zero(cmax, z.dmax)    # T(t)
+        if kmax:
+            h = _horner(t, weights, lambda k: 1, kmax, b - 1)
+            tt = t._mul_bounded(h, b).shift(weights[1], 0)
+        g = n1 + z._mul_bounded(tt, b)
+        dg = z._mul_bounded(z2, e - 1).scale(4).shift(0, 1) + tt
+        # the k-th term of z T'(t) dt/dz has y-valuation >= k
+        kd = min(kmax, e)
+        if kd:
+            dtt = _horner(t, weights, lambda k: k, kd, e - 1).shift(
+                weights[1], 0)                              # T'(t)
+            tr = t._mul_bounded(r, e)
+            dg = dg + dtt._mul_bounded(t.scale(5) - tr.scale(4), e)
+        return g, dg
+
+    return step
 
 
 def solve_system(convention: str | CodimWeight, cmax: int,
                  dmax: int) -> SystemSolution:
     """Solve the three-equation system on the box (cmax, dmax).
 
-    Returns the unique solution with nonnegative coefficients, always
-    re-checked by SystemSolution.verify.  Raises ConvergenceError if the
-    sweeps fail to stabilize (impossible for a correct implementation)
-    and NegativeCoefficientError if any count comes out negative.
+    n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
+    then n1 = 1 + y n2^4 and n3 = n2 / n1 on the full box.  Returns the
+    unique solution with nonnegative coefficients, always re-checked by
+    SystemSolution.verify, which raises NegativeCoefficientError if any
+    count comes out negative.
     """
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
     weights = conv.table(dmax) if dmax >= 1 else []
     one = BiSeries.one(cmax, dmax)
-    n2 = one
-    for s in range(1, dmax + 2):
-        exact = s - 1                       # rows of n2 already exact
-        n2sq = n2._mul_bounded(n2, exact)
-        n2p4 = n2sq._mul_bounded(n2sq, exact)
-        n1 = (one + n2p4.shift(0, 1)).truncate_degree(s)
-        n3 = n2._divide_bounded(n1, exact)
-        nxt = (n1 + _weighted_tail(n2, n3, weights, exact)).truncate_degree(s)
-        if nxt == n2:
-            break
-        n2 = nxt
-    else:
-        raise ConvergenceError(
-            f"no fixed point within {dmax + 1} sweeps on ({cmax},{dmax})")
-    # n1(0, d) > 0 for every d, so only the sweep with exact = dmax can
-    # reproduce n2: its n1 and n3 are already the full-box series
+    n2 = _newton(_system_step(weights), one)
+    n1 = one + (n2 ** 4).shift(0, 1)
+    n3 = n2.divide(n1)
     solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))
     solution.verify()
     return solution
 
 
+def _simple_step(z: BiSeries, b: int, e: int) -> tuple[BiSeries, BiSeries]:
+    """G(z) = 1 + y z^4 + 4 x y^2 z^8 and G'(z) = 4 y z^3 + 32 x y^2 z^7."""
+    one = BiSeries.one(z.cmax, z.dmax)
+    z2 = z._mul_bounded(z, b - 1)
+    z3 = z2._mul_bounded(z, e - 1)
+    z4 = z2._mul_bounded(z2, b - 1)
+    z7 = z4._mul_bounded(z3, e - 2)
+    z8 = z4._mul_bounded(z4, b - 2)
+    g = one + z4.shift(0, 1) + z8.scale(4).shift(1, 2)
+    dg = z3.scale(4).shift(0, 1) + z7.scale(32).shift(1, 2)
+    return g, dg
+
+
 def solve_simple(cmax: int, dmax: int) -> BiSeries:
-    """Solve n4 = 1 + y n4^4 + 4 x y^2 n4^8 (simple configurations),
-    re-checked on the full box."""
+    """Solve n4 = 1 + y n4^4 + 4 x y^2 n4^8 (simple configurations) by
+    Newton's iteration, re-checked on the full box."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     one = BiSeries.one(cmax, dmax)
-    n4 = one
-    for s in range(1, dmax + 2):
-        exact = s - 1
-        p2 = n4._mul_bounded(n4, exact)
-        p4 = p2._mul_bounded(p2, exact)
-        p8 = p4._mul_bounded(p4, exact)
-        nxt = (one + p4.shift(0, 1) + p8.scale(4).shift(1, 2)).truncate_degree(s)
-        if nxt == n4:
-            break
-        n4 = nxt
-    else:
-        raise ConvergenceError(
-            f"no fixed point within {dmax + 1} sweeps on ({cmax},{dmax})")
+    n4 = _newton(_simple_step, one)
     if n4 != one + (n4 ** 4).shift(0, 1) + (n4 ** 8).scale(4).shift(1, 2):
         raise SolverError("simple-configuration equation violated")
     if n4.min_coefficient() < 0:

@@ -88,8 +88,8 @@ class ZPolynomial:
         """The series obtained by substituting z (exact on z's box)."""
         cmax, dmax = z.cmax, z.dmax
         maxz = max((t[2] for t in self.terms), default=0)
-        powers = [BiSeries.one(cmax, dmax)]
-        for _ in range(maxz):
+        powers = [BiSeries.one(cmax, dmax), z]
+        for _ in range(maxz - 1):
             powers.append(powers[-1] * z)
         acc = BiSeries.zero(cmax, dmax)
         for xe, ye, ze, co in self.terms:
@@ -203,7 +203,7 @@ def check_min_poly(cmax: int = 12, dmax: int = 12) -> dict:
     offending coefficients first), not a hard failure: the residual
     check exists to pin such discrepancies down.
     """
-    n1 = cached_solution("odd", cmax, dmax).n1
+    n1 = cached_solution("odd", cmax, dmax).n1.crop(cmax, dmax)
     residual = P_MIN.residual(n1)
     if residual.is_zero():
         return _report("min-poly", "pass", box=[cmax, dmax],
@@ -237,7 +237,7 @@ def check_q_factor() -> dict:
 
 def check_system_equation(cmax: int = 12, dmax: int = 12) -> dict:
     """The odd-convention single equation must annihilate the solver's n2."""
-    n2 = cached_solution("odd", cmax, dmax).n2
+    n2 = cached_solution("odd", cmax, dmax).n2.crop(cmax, dmax)
     residual = ODD_EQUATION.residual(n2)
     if residual.is_zero():
         return _report("system-equation", "pass", box=[cmax, dmax])
@@ -248,7 +248,7 @@ def check_system_equation(cmax: int = 12, dmax: int = 12) -> dict:
 def check_alt_tails(cmax: int = 13, dmax: int = 9) -> dict:
     """Exactly one tail exponent (9 or 11) must annihilate the
     linear-convention series; record which."""
-    n2 = cached_solution("linear", cmax, dmax).n2
+    n2 = cached_solution("linear", cmax, dmax).n2.crop(cmax, dmax)
     outcome = {}
     zero_tails = []
     for power in (9, 11):

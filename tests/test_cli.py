@@ -231,6 +231,22 @@ def test_verify_artifact_written(tmp_path, capsys):
     assert doc["dp_matches_conventions"] == ["odd"]
 
 
+def test_verify_artifact_dash_writes_stdout(tmp_path, monkeypatch, capsys):
+    # '-' means standard output, as for --output and oracle --dump
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "route_agreement.json"
+    argv = ["verify", "--only", "cross-routes", "--cross-cmax", "5",
+            "--cross-dmax", "6", "--format", "jsonl"]
+    code, _ = run(capsys, *argv, "--artifact", str(target))
+    assert code == 0
+    code, out = run(capsys, *argv, "--artifact", "-")
+    assert code == 0
+    assert not (tmp_path / "-").exists()
+    report, artifact = out.split("\n", 1)
+    assert json.loads(report)["check"] == "cross-routes"
+    assert artifact == target.read_text(encoding="utf-8")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = main(["table", "--cmax", "0", "--dmax", "2", "--format", "csv",

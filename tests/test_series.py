@@ -97,6 +97,21 @@ def test_shift_negative_rejected():
         BiSeries.one(2, 2).shift(-1, 0)
 
 
+def test_crop_keeps_the_smaller_box():
+    a = series_from(3, 4, {(0, 0): 1, (1, 2): -5, (3, 1): 7, (2, 4): 2})
+    small = a.crop(1, 2)
+    assert small.box() == (1, 2)
+    assert list(small.terms()) == [(0, 0, 1), (1, 2, -5)]
+    assert a.crop(3, 4) is a
+    # products commute with cropping: no term outside the box flows in
+    b = series_from(3, 4, {(0, 0): -1, (1, 1): 3, (0, 3): 4})
+    assert (a * b).crop(2, 3) == a.crop(2, 3) * b.crop(2, 3)
+    with pytest.raises(ValueError):
+        a.crop(4, 4)
+    with pytest.raises(ValueError):
+        a.crop(-1, 0)
+
+
 # ----------------------------------------------------------------------
 # pow
 # ----------------------------------------------------------------------
@@ -244,13 +259,18 @@ def test_pow_matches_repeated_reference_products(a):
 @settings(max_examples=40, deadline=None)
 @given(series_triple(bound=WIDE), st.sampled_from([1, -1]))
 def test_bounded_rows_match_full_result(triple, unit):
-    # rows d <= k equal the full product/quotient, rows above k are zero
+    # rows d <= k equal the full product/quotient, rows above k are zero;
+    # a negative k keeps no row (it must not wrap around to rows[:-1])
     a, b, c = triple
     den = with_unit(c, unit)
     full_mul, full_div = a * b, a.divide(den)
+    zero = BiSeries.zero(a.cmax, a.dmax)
     for k in range(a.dmax + 1):
         assert a._mul_bounded(b, k) == full_mul.truncate_degree(k)
         assert a._divide_bounded(den, k) == full_div.truncate_degree(k)
+    for k in (-1, -2, -a.dmax - 3):
+        assert a._mul_bounded(b, k) == zero
+        assert a._divide_bounded(den, k) == zero
 
 
 @settings(max_examples=40, deadline=None)

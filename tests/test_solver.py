@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from forestcount.formulas import codim1_count, flat_count, simple_count
 from forestcount.series import BiSeries
 from forestcount.solver import (CONVENTIONS, LINEAR, ODD, CodimWeight,
-                                cached_solution, clear_cache,
+                                SolverError, cached_solution, clear_cache,
                                 count_configurations, get_convention,
                                 solve_simple, solve_system)
 
@@ -101,6 +102,19 @@ def test_solution_verifies_and_nonnegative(name):
         assert s.min_coefficient() >= 0
 
 
+def test_verify_rejects_perturbed_solutions():
+    sol = solve_system("odd", 6, 6)
+    bump = BiSeries.monomial(6, 6, 2, 3)
+    for name, message in (("n1", "n1 = 1"), ("n2", "n1 = 1"),
+                          ("n3", "n2 = n1 n3")):
+        bad = dataclasses.replace(sol, **{name: getattr(sol, name) + bump})
+        with pytest.raises(SolverError, match=message):
+            bad.verify()
+    # odd and linear part ways at (4, 4): only the meeting-point tail sees it
+    with pytest.raises(SolverError, match="meeting-point"):
+        dataclasses.replace(sol, convention=LINEAR).verify()
+
+
 def test_solution_equations_hold_exactly():
     sol = solve_system("odd", 6, 6)
     one = BiSeries.one(6, 6)
@@ -123,6 +137,41 @@ def test_custom_weight_convention():
     assert [sol.n1.coeff(0, d) for d in range(5)] == \
         [flat_count(d) for d in range(5)]
     assert sol.n1.min_coefficient() >= 0
+
+
+# one rule outgrows cmax early, one starts above codimension 1
+RULES = [ODD, LINEAR,
+         CodimWeight("square", lambda k: k * k),
+         CodimWeight("two", lambda k: 2),
+         CodimWeight("flatweights", lambda k: k),
+         CodimWeight("triple", lambda k: 3 * k)]
+
+
+def naive_system(conv, cmax, dmax):
+    """Iterate n2 <- n1 + sum_k x^w(k) y^k n2^(4k+1) n3^k on the full
+    box, with n1 = 1 + y n2^4 and n3 = n2 / n1, until n2 stops changing."""
+    weights = conv.table(dmax)
+    one = BiSeries.one(cmax, dmax)
+    n2 = one
+    while True:
+        n1 = one + (n2 ** 4).shift(0, 1)
+        n3 = n2.divide(n1)
+        nxt, g, u = n1, n2, n2 ** 4 * n3
+        for k in range(1, dmax + 1):
+            g = g * u                       # n2^(4k+1) n3^k
+            nxt = nxt + g.shift(weights[k], k)
+        if nxt == n2:
+            return n1, n2, n3
+        n2 = nxt
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_solver_matches_naive_sweep(conv):
+    for cmax in range(9):
+        for dmax in range(9):
+            sol = solve_system(conv, cmax, dmax)
+            assert (sol.n1, sol.n2, sol.n3) == naive_system(conv, cmax, dmax), \
+                (cmax, dmax)
 
 
 def test_trivial_boxes():
@@ -154,6 +203,19 @@ def test_solve_simple_matches_closed_form():
     for c in range(6):
         for d in range(13):
             assert n4.coeff(c, d) == simple_count(c, d)
+
+
+def test_solve_simple_matches_naive_fixed_point():
+    for cmax in range(7):
+        for dmax in range(12):
+            one = BiSeries.one(cmax, dmax)
+            n4 = one
+            while True:
+                nxt = one + (n4 ** 4).shift(0, 1) + (n4 ** 8).scale(4).shift(1, 2)
+                if nxt == n4:
+                    break
+                n4 = nxt
+            assert solve_simple(cmax, dmax) == n4, (cmax, dmax)
 
 
 def test_n1_dominates_n4():

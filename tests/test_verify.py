@@ -69,6 +69,24 @@ def test_alt_tail_z11_annihilates_linear_series():
     assert first[:2] == [3, 3]
 
 
+def test_residual_checks_run_on_the_asked_box(monkeypatch):
+    # a cached covering box must not widen the substitution
+    for name in ("odd", "linear"):
+        cached_solution(name, 48, 24)
+    boxes = []
+    real_residual = ZPolynomial.residual
+
+    def recording_residual(self, z):
+        boxes.append(z.box())
+        return real_residual(self, z)
+
+    monkeypatch.setattr(ZPolynomial, "residual", recording_residual)
+    assert check_min_poly(6, 6)["status"] == "pass"
+    assert check_system_equation(7, 5)["status"] == "pass"
+    assert check_alt_tails(13, 9)["status"] == "pass"
+    assert boxes == [(6, 6), (7, 5), (13, 9), (13, 9)]
+
+
 def test_residual_of_difference_is_zero():
     # poly z - z is empty after normalization; residual must vanish
     poly = ZPolynomial.from_terms([(0, 0, 1, 1), (0, 0, 1, -1)])
