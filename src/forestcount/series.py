@@ -308,6 +308,15 @@ class BiSeries:
         rows = tuple(row[:cmax + 1] for row in self._rows[:dmax + 1])
         return BiSeries(cmax, dmax, rows)
 
+    def pad(self, dmax: int) -> "BiSeries":
+        """The series zero-extended to the taller box (cmax, dmax)."""
+        if dmax < self.dmax:
+            raise ValueError(f"({self.cmax},{dmax}) is shorter than box "
+                             f"({self.cmax},{self.dmax})")
+        zero_row = (0,) * (self.cmax + 1)
+        rows = self._rows + (zero_row,) * (dmax - self.dmax)
+        return BiSeries(self.cmax, dmax, rows)
+
     # ------------------------------------------------------------------
     # division
     # ------------------------------------------------------------------

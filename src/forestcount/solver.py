@@ -17,9 +17,9 @@ Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
 n4 = G(n4) for simple configurations).  Newton's iteration
 z <- z + (G(z) - z) / (1 - G'(z)) doubles the number of exact y-degrees
 at each step (Brent and Kung, J. ACM 25(4), 1978), so about log2(dmax)
-steps reach the box, and every product in a step is bounded by the
-rows that step makes exact.  The defining equations are re-verified on
-the full box before a solution is returned.
+steps reach the box, and each step works on the box of the rows it
+makes exact.  The defining equations are re-verified on the full box
+before a solution is returned.
 """
 
 from __future__ import annotations
@@ -132,39 +132,27 @@ def _weighted_tail(n2: BiSeries, u: BiSeries,
     return acc
 
 
-def _newton(step, one: BiSeries) -> BiSeries:
-    """The root of z = G(z) with z(x, 0) = 1, on one's box.
+def _newton(step, cmax: int, dmax: int) -> BiSeries:
+    """The root of z = G(z) with z(x, 0) = 1, on the box (cmax, dmax).
 
-    step(z, b, e) returns G(z) exact through row b and G'(z) exact
-    through row e.  z starts exact on rows < p = 1; each step makes rows
-    < q = min(2p, dmax+1) exact.  The numerator G(z) - z has y-valuation
-    >= p, so rows < q of the quotient need the denominator 1 - G'(z)
-    only through row q-p-1, and G' has y-valuation >= 1, so that
+    z lives on the box (cmax, p-1) of its exact rows, starting from p = 1.
+    A step zero-extends z to the box (cmax, q-1), q = min(2p, dmax+1),
+    that it makes exact; step(z, e) returns G(z) on that box and G'(z)
+    on the box (cmax, e), e = q-p-1.  The numerator G(z) - z has
+    y-valuation >= p, so rows < q of the quotient need the denominator
+    1 - G'(z) only through row e, and G' has y-valuation >= 1, so that
     denominator has constant term 1.
     """
-    z, p = one, 1
-    while p <= one.dmax:
-        q = min(2 * p, one.dmax + 1)
-        b, e = q - 1, q - p - 1
-        g, dg = step(z, b, e)
-        num = (g - z).truncate_degree(b)
-        den = (one - dg).truncate_degree(e)
-        z = z + num._divide_bounded(den, b)
+    z, p = BiSeries.one(cmax, 0), 1
+    while p <= dmax:
+        q = min(2 * p, dmax + 1)
+        e = q - p - 1
+        z = z.pad(q - 1)
+        g, dg = step(z, e)
+        den = (BiSeries.one(cmax, e) - dg).pad(q - 1)
+        z = z + (g - z).divide(den)
         p = q
     return z
-
-
-def _horner(t: BiSeries, weights: list[int], coeffs, kmax: int,
-            dbound: int) -> BiSeries:
-    """sum_{k=1..kmax} coeffs(k) x^(weight(k) - weight(1)) t^(k-1) through
-    row dbound, by Horner in t; t has y-valuation >= 1, so the product
-    that adds the (k+1)-th term needs rows up to dbound - k + 1 only."""
-    one = BiSeries.one(t.cmax, t.dmax)
-    h = one.scale(coeffs(kmax))
-    for k in range(kmax - 1, 0, -1):
-        h = one.scale(coeffs(k)) + t._mul_bounded(h, dbound - k + 1).shift(
-            weights[k + 1] - weights[k], 0)
-    return h
 
 
 def _system_step(weights: list[int]):
@@ -173,34 +161,35 @@ def _system_step(weights: list[int]):
     With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
     G(z) = n1 + z T(t) for T(t) = sum_k x^weight(k) t^k, and
     G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
-    dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z dt/dz = 5t - 4tr.
+    dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z T'(t) dt/dz = (5 - 4r) K(t)
+    for K(t) = t T'(t) = sum_k k x^weight(k) t^k.  One table of powers
+    t^k serves both T and K.
     """
 
-    def step(z: BiSeries, b: int, e: int) -> tuple[BiSeries, BiSeries]:
-        cmax = z.cmax
-        one = BiSeries.one(cmax, z.dmax)
-        z2 = z._mul_bounded(z, b - 1)
-        a = z2._mul_bounded(z2, b - 1).shift(0, 1)
-        n1 = one + a
-        r = a._divide_bounded(n1, b)
-        t = z._mul_bounded(r, b)
-        # only k <= b with weight(k) <= cmax reach the box
-        kmax = 0
-        while kmax < b and weights[kmax + 1] <= cmax:
-            kmax += 1
-        tt = BiSeries.zero(cmax, z.dmax)    # T(t)
-        if kmax:
-            h = _horner(t, weights, lambda k: 1, kmax, b - 1)
-            tt = t._mul_bounded(h, b).shift(weights[1], 0)
-        g = n1 + z._mul_bounded(tt, b)
-        dg = z._mul_bounded(z2, e - 1).scale(4).shift(0, 1) + tt
-        # the k-th term of z T'(t) dt/dz has y-valuation >= k
-        kd = min(kmax, e)
-        if kd:
-            dtt = _horner(t, weights, lambda k: k, kd, e - 1).shift(
-                weights[1], 0)                              # T'(t)
-            tr = t._mul_bounded(r, e)
-            dg = dg + dtt._mul_bounded(t.scale(5) - tr.scale(4), e)
+    def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
+        cmax, b = z.cmax, z.dmax
+        z2 = z * z
+        a = (z2 * z2).shift(0, 1)
+        n1 = BiSeries.one(cmax, b) + a
+        r = a.divide(n1)
+        t = z * r
+        tt = BiSeries.zero(cmax, b)         # T(t)
+        kt = BiSeries.zero(cmax, e)         # K(t)
+        tk = t
+        # t^k has y-valuation k: only k <= b with weight(k) <= cmax count
+        for k in range(1, b + 1):
+            if weights[k] > cmax:
+                break                       # weights nondecreasing
+            if k > 1:
+                tk = tk * t
+            term = tk.shift(weights[k], 0)
+            tt = tt + term
+            if k <= e:
+                kt = kt + term.crop(cmax, e).scale(k)
+        g = n1 + z * tt
+        five_4r = BiSeries.one(cmax, e).scale(5) - r.crop(cmax, e).scale(4)
+        dg = ((z2.crop(cmax, e) * z.crop(cmax, e)).scale(4).shift(0, 1)
+              + tt.crop(cmax, e) + kt * five_4r)
         return g, dg
 
     return step
@@ -220,25 +209,24 @@ def solve_system(convention: str | CodimWeight, cmax: int,
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
     weights = conv.table(dmax) if dmax >= 1 else []
-    one = BiSeries.one(cmax, dmax)
-    n2 = _newton(_system_step(weights), one)
-    n1 = one + (n2 ** 4).shift(0, 1)
+    n2 = _newton(_system_step(weights), cmax, dmax)
+    n1 = BiSeries.one(cmax, dmax) + (n2 ** 4).shift(0, 1)
     n3 = n2.divide(n1)
     solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))
     solution.verify()
     return solution
 
 
-def _simple_step(z: BiSeries, b: int, e: int) -> tuple[BiSeries, BiSeries]:
+def _simple_step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
     """G(z) = 1 + y z^4 + 4 x y^2 z^8 and G'(z) = 4 y z^3 + 32 x y^2 z^7."""
-    one = BiSeries.one(z.cmax, z.dmax)
-    z2 = z._mul_bounded(z, b - 1)
-    z3 = z2._mul_bounded(z, e - 1)
-    z4 = z2._mul_bounded(z2, b - 1)
-    z7 = z4._mul_bounded(z3, e - 2)
-    z8 = z4._mul_bounded(z4, b - 2)
-    g = one + z4.shift(0, 1) + z8.scale(4).shift(1, 2)
-    dg = z3.scale(4).shift(0, 1) + z7.scale(32).shift(1, 2)
+    cmax = z.cmax
+    z2 = z * z
+    z4 = z2 * z2
+    g = (BiSeries.one(cmax, z.dmax) + z4.shift(0, 1)
+         + (z4 * z4).scale(4).shift(1, 2))
+    z3 = z2.crop(cmax, e) * z.crop(cmax, e)
+    dg = (z3.scale(4).shift(0, 1)
+          + (z3 * z4.crop(cmax, e)).scale(32).shift(1, 2))
     return g, dg
 
 
@@ -247,9 +235,10 @@ def solve_simple(cmax: int, dmax: int) -> BiSeries:
     Newton's iteration, re-checked on the full box."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
-    one = BiSeries.one(cmax, dmax)
-    n4 = _newton(_simple_step, one)
-    if n4 != one + (n4 ** 4).shift(0, 1) + (n4 ** 8).scale(4).shift(1, 2):
+    n4 = _newton(_simple_step, cmax, dmax)
+    n4p4 = n4 ** 4
+    if n4 != (BiSeries.one(cmax, dmax) + n4p4.shift(0, 1)
+              + (n4p4 * n4p4).scale(4).shift(1, 2)):
         raise SolverError("simple-configuration equation violated")
     if n4.min_coefficient() < 0:
         raise NegativeCoefficientError("negative coefficient in n4")

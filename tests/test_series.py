@@ -112,6 +112,20 @@ def test_crop_keeps_the_smaller_box():
         a.crop(-1, 0)
 
 
+def test_pad_zero_extends_to_a_taller_box():
+    a = series_from(3, 2, {(0, 0): 1, (1, 2): -5, (3, 1): 7})
+    b = series_from(3, 2, {(0, 0): -1, (1, 1): 3, (2, 2): 4})
+    tall = a.pad(6)
+    assert tall.box() == (3, 6)
+    assert all(tall.coeff(c, d) == 0 for c in range(4) for d in range(3, 7))
+    assert tall.crop(3, 2) == a
+    assert a.pad(2) == a
+    with pytest.raises(ValueError):
+        a.pad(1)
+    # a product on the taller box is exact on the original rows
+    assert (a.pad(6) * b.pad(6)).crop(3, 2) == a * b
+
+
 # ----------------------------------------------------------------------
 # pow
 # ----------------------------------------------------------------------

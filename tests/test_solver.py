@@ -174,6 +174,15 @@ def test_solver_matches_naive_sweep(conv):
                 (cmax, dmax)
 
 
+@pytest.mark.parametrize("conv", RULES[:3], ids=[r.name for r in RULES[:3]])
+def test_clipped_newton_steps_match_a_deeper_solve(conv):
+    # q = min(2p, dmax+1) cuts the last Newton step short for most dmax;
+    # the naive sweep above stops at dmax 8
+    deep = solve_system(conv, 6, 24).n2
+    for d in range(25):
+        assert solve_system(conv, 6, d).n2 == deep.crop(6, d), d
+
+
 def test_trivial_boxes():
     sol = solve_system("odd", 0, 0)
     assert sol.n1 == BiSeries.one(0, 0)
@@ -216,6 +225,12 @@ def test_solve_simple_matches_naive_fixed_point():
                     break
                 n4 = nxt
             assert solve_simple(cmax, dmax) == n4, (cmax, dmax)
+
+
+def test_solve_simple_clipped_steps_match_a_deeper_solve():
+    deep = solve_simple(4, 24)
+    for d in range(25):
+        assert solve_simple(4, d) == deep.crop(4, d), d
 
 
 def test_n1_dominates_n4():
