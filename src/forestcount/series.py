@@ -49,6 +49,8 @@ def _pack(row: Sequence[int], bps: int) -> int:
     is written in two's complement, so a negative slot also adds one to
     the slot above; subtracting that unit returns the exact sum.
     """
+    if not any(row):
+        return 0
     packed = int.from_bytes(
         b"".join([v.to_bytes(bps, "little", signed=True) for v in row]),
         "little")
@@ -285,14 +287,6 @@ class BiSeries:
             out.append(zero_row if dc > cmax else
                        (0,) * dc + src[:cmax + 1 - dc])
         return BiSeries(cmax, dmax, tuple(out))
-
-    def truncate_degree(self, dbound: int) -> "BiSeries":
-        """Zero out all rows with d > dbound (same box)."""
-        if dbound >= self.dmax:
-            return self
-        zero_row = (0,) * (self.cmax + 1)
-        rows = self._rows[:dbound + 1] + (zero_row,) * (self.dmax - dbound)
-        return BiSeries(self.cmax, self.dmax, rows)
 
     def crop(self, cmax: int, dmax: int) -> "BiSeries":
         """The series truncated to the smaller box (cmax, dmax).

@@ -20,13 +20,25 @@ at each step (Brent and Kung, J. ACM 25(4), 1978), so about log2(dmax)
 steps reach the box, and each step works on the box of the rows it
 makes exact.  The defining equations are re-verified on the full box
 before a solution is returned.
+
+The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
+every weight table splits there into a prefix P of k0 - 1 terms and one
+arithmetic run weight(k) = w0 + s (k - k0), k >= k0, so that
+T(t) = P(t) + x^w0 t^k0 / (1 - x^s t) (see _tail_split).  A Newton step
+then takes k0 - 1 products for powers of t and two divisions.  k0 stays
+fixed as the box grows for a rule that ends arithmetic, as both built-in
+conventions do (k0 = 1 for odd, 2 for linear); for one that never does,
+such as weight(k) = k^2, it grows with the box.  The full-box gate checks
+the meeting-point equation multiplied through by 1 - x^s t, without a
+division.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .series import BiSeries
 
@@ -83,6 +95,80 @@ def get_convention(conv: str | CodimWeight) -> CodimWeight:
         raise ValueError(f"unknown convention {conv!r} (built-ins: {names})")
 
 
+class TailSplit(NamedTuple):
+    """T(t) = sum_{k<k0} x^prefix[k-1] t^k + x^w0 t^k0 / (1 - x^s t)."""
+
+    prefix: tuple[int, ...]
+    k0: int
+    w0: int
+    s: int
+
+
+def _tail_split(weights: list[int], cmax: int,
+                dmax: int) -> TailSplit | None:
+    """Split weight(1..dmax) on the box (cmax, dmax) into a prefix and a run.
+
+    K is the last k <= dmax with weight(k) <= cmax; with no such k, T = 0
+    on the box and the result is None.  The run weight(k) = w0 + s (k - k0)
+    must equal the table for k0..K, and its extension must leave the box
+    where the table does: K = dmax, or w0 + s (K+1-k0) > cmax.  A one-term
+    run with s = cmax+1 always qualifies; the longest qualifying run is
+    taken, so the prefix is as short as it can be.  Terms with k > b or
+    weight > cmax vanish on a box (cmax, b), so the split holds there for
+    every b <= dmax.  It is checked against the table before it is
+    returned.
+    """
+    top = 0
+    for k in range(1, dmax + 1):
+        if weights[k] > cmax:
+            break                           # weights nondecreasing
+        top = k
+    if not top:
+        return None
+    k0, s = top, cmax + 1
+    if top > 1:
+        step = weights[top] - weights[top - 1]
+        if top == dmax or weights[top] + step > cmax:
+            k0, s = top - 1, step
+            while k0 > 1 and weights[k0] - weights[k0 - 1] == step:
+                k0 -= 1
+    split = TailSplit(tuple(weights[1:k0]), k0, weights[k0], s)
+    _check_split(split, weights, cmax, dmax)
+    return split
+
+
+def _check_split(split: TailSplit | None, weights: list[int], cmax: int,
+                 dmax: int) -> None:
+    """Raise SolverError unless the split equals sum_k x^weight(k) y^k,
+    built from the table, exponent by exponent on the box (cmax, dmax).
+
+    The split is expanded term by term, its run as
+    x^w0 y^k0 sum_j x^(s j) y^j, and both sides are kept as multisets of
+    exponents, so a term the split repeats is a mismatch too.
+    """
+    table = Counter((w, k) for k, w in enumerate(weights[1:dmax + 1], 1)
+                    if w <= cmax)
+    expanded = Counter()
+    if split is not None:
+        prefix, k0, w0, s = split
+        terms = [*enumerate(prefix, 1),
+                 *((k, w0 + s * (k - k0)) for k in range(k0, dmax + 1))]
+        expanded.update((w, k) for k, w in terms if k <= dmax and w <= cmax)
+    if expanded != table:
+        raise SolverError(f"tail split {split} does not match the weight "
+                          f"table on the box ({cmax},{dmax})")
+
+
+def _prefix_powers(u: BiSeries,
+                   split: TailSplit) -> tuple[list[BiSeries], BiSeries]:
+    """The prefix terms x^weight(k) u^k for k < k0, and u^k0."""
+    terms, uk = [], u
+    for w in split.prefix:
+        terms.append(uk.shift(w, 0))
+        uk = uk * u
+    return terms, uk
+
+
 @dataclass(frozen=True)
 class SystemSolution:
     """Solved (n1, n2, n3) triple on a box, under one weight convention."""
@@ -97,39 +183,38 @@ class SystemSolution:
         """Re-check the three defining equations and nonnegativity."""
         cmax, dmax = self.box
         one = BiSeries.one(cmax, dmax)
-        weights = self.convention.table(dmax) if dmax >= 1 else []
+        split = _tail_split(self.convention.table(dmax), cmax, dmax)
         n2p4 = self.n2 ** 4
         if self.n1 != one + n2p4.shift(0, 1):
             raise SolverError("equation n1 = 1 + y n2^4 violated")
         if self.n1 * self.n3 != self.n2:
             raise SolverError("equation n2 = n1 n3 violated")
-        tail = _weighted_tail(self.n2, n2p4 * self.n3, weights)
-        if self.n2 != self.n1 + tail:
+        v = (n2p4 * self.n3).shift(0, 1)
+        if not _weighted_tail(self.n1, self.n2, v, split):
             raise SolverError("meeting-point equation for n2 violated")
         for name, s in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
             if s.min_coefficient() < 0:
                 raise NegativeCoefficientError(f"negative coefficient in {name}")
 
 
-def _weighted_tail(n2: BiSeries, u: BiSeries,
-                   weights: list[int]) -> BiSeries:
-    """sum_k x^weight(k) y^k n2 u^k for u = n2^4 n3, truncated to the box.
+def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
+                   split: TailSplit | None) -> bool:
+    """Whether n2 = n1 + n2 T(v) holds on the box, for v = y n2^4 n3.
 
-    Computed incrementally (g_k = g_{k-1} * u) with each product bounded
-    by the rows that survive the y^k shift.
+    The equation is checked in cleared form,
+    (n2 - n1 - n2 P(v)) (1 - x^s v) = x^w0 v^k0 n2.  Since 1 - x^s v has
+    constant term 1, the cleared form holds exactly when the equation
+    does; it has no division, so it is a different computation from the
+    Newton step's.  With no tail on the box it reads n2 = n1.
     """
-    cmax, dmax = n2.cmax, n2.dmax
-    acc = BiSeries.zero(cmax, dmax)
-    if dmax < 1 or not weights:
-        return acc
-    g = n2
-    for k in range(1, dmax + 1):
-        w = weights[k]
-        if w > cmax:
-            break                           # weights nondecreasing
-        g = g._mul_bounded(u, dmax - k)
-        acc = acc + g.shift(w, k)
-    return acc
+    if split is None:
+        return n2 == n1
+    terms, vk0 = _prefix_powers(v, split)
+    lhs = n2 - n1
+    if terms:
+        lhs = lhs - n2 * sum(terms, BiSeries.zero(n2.cmax, n2.dmax))
+    lhs = lhs - (lhs * v).shift(split.s, 0)
+    return lhs == (vk0 * n2).shift(split.w0, 0)
 
 
 def _newton(step, cmax: int, dmax: int) -> BiSeries:
@@ -155,15 +240,17 @@ def _newton(step, cmax: int, dmax: int) -> BiSeries:
     return z
 
 
-def _system_step(weights: list[int]):
-    """The Newton step for z = n2.
+def _system_step(split: TailSplit | None):
+    """The Newton step for z = n2, for the tail split of the weight table.
 
     With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
-    G(z) = n1 + z T(t) for T(t) = sum_k x^weight(k) t^k, and
-    G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
+    G(z) = n1 + z T(t) and G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
     dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z T'(t) dt/dz = (5 - 4r) K(t)
-    for K(t) = t T'(t) = sum_k k x^weight(k) t^k.  One table of powers
-    t^k serves both T and K.
+    for K(t) = t T'(t).  With the prefix P and the run R = x^w0 t^k0 / D,
+    D = 1 - x^s t, T = P + R and K = P_K + (k0 - 1) R + R / D, where
+    P_K = sum_{k<k0} k x^weight(k) t^k; this is t R' = k0 R + x^s t R / D
+    with x^s t / D = 1/D - 1.  A step thus takes k0 - 1 products for powers
+    of t and two divisions by D.
     """
 
     def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
@@ -175,16 +262,14 @@ def _system_step(weights: list[int]):
         t = z * r
         tt = BiSeries.zero(cmax, b)         # T(t)
         kt = BiSeries.zero(cmax, e)         # K(t)
-        tk = t
-        # t^k has y-valuation k: only k <= b with weight(k) <= cmax count
-        for k in range(1, b + 1):
-            if weights[k] > cmax:
-                break                       # weights nondecreasing
-            if k > 1:
-                tk = tk * t
-            term = tk.shift(weights[k], 0)
-            tt = tt + term
-            if k <= e:
+        if split is not None:
+            terms, tk0 = _prefix_powers(t, split)
+            den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
+            run = tk0.shift(split.w0, 0).divide(den)
+            tt = sum(terms, run)
+            run_e = run.crop(cmax, e)
+            kt = run_e.scale(split.k0 - 1) + run_e.divide(den.crop(cmax, e))
+            for k, term in enumerate(terms, 1):
                 kt = kt + term.crop(cmax, e).scale(k)
         g = n1 + z * tt
         five_4r = BiSeries.one(cmax, e).scale(5) - r.crop(cmax, e).scale(4)
@@ -208,8 +293,8 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
-    weights = conv.table(dmax) if dmax >= 1 else []
-    n2 = _newton(_system_step(weights), cmax, dmax)
+    split = _tail_split(conv.table(dmax), cmax, dmax)
+    n2 = _newton(_system_step(split), cmax, dmax)
     n1 = BiSeries.one(cmax, dmax) + (n2 ** 4).shift(0, 1)
     n3 = n2.divide(n1)
     solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))

@@ -2,11 +2,13 @@ import dataclasses
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestcount.formulas import codim1_count, flat_count, simple_count
 from forestcount.series import BiSeries
 from forestcount.solver import (CONVENTIONS, LINEAR, ODD, CodimWeight,
-                                SolverError, cached_solution, clear_cache,
+                                SolverError, TailSplit, _check_split,
+                                _tail_split, cached_solution, clear_cache,
                                 count_configurations, get_convention,
                                 solve_simple, solve_system)
 
@@ -181,6 +183,84 @@ def test_clipped_newton_steps_match_a_deeper_solve(conv):
     deep = solve_system(conv, 6, 24).n2
     for d in range(25):
         assert solve_system(conv, 6, d).n2 == deep.crop(6, d), d
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_meeting_point_gate_rejects_every_bump(conv):
+    # n1 and n3 are rebuilt from the bumped n2, so the first two equations
+    # hold and only the meeting-point equation can fail
+    sol = solve_system(conv, 8, 8)
+    one = BiSeries.one(8, 8)
+    for c, d in ((8, 8), (0, 1), (conv.weight(1), 1)):
+        n2 = sol.n2 + BiSeries.monomial(8, 8, c, d)
+        n1 = one + (n2 ** 4).shift(0, 1)
+        bad = dataclasses.replace(sol, n1=n1, n2=n2, n3=n2.divide(n1))
+        with pytest.raises(SolverError, match="meeting-point"):
+            bad.verify()
+
+
+# ----------------------------------------------------------------------
+# the tail split: T(t) = prefix + one arithmetic run, on a box
+# ----------------------------------------------------------------------
+
+@st.composite
+def weight_tables(draw):
+    """weight(0..10), nondecreasing from weight(1) >= 1 (index 0 unused);
+    the increments settle into a constant one, so runs are common."""
+    head = draw(st.lists(st.integers(0, 4), max_size=9))
+    incs = head + [draw(st.integers(0, 4))] * (9 - len(head))
+    weights = [0, draw(st.integers(1, 6))]
+    for inc in incs:
+        weights.append(weights[-1] + inc)
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_tables(), st.integers(0, 12), st.integers(0, 10))
+def test_tail_split_expands_to_the_weight_table(weights, cmax, dmax):
+    weights = weights[:dmax + 1]
+    split = _tail_split(weights, cmax, dmax)
+    table = {(w, k) for k, w in enumerate(weights) if k and w <= cmax}
+    expanded = set()
+    if split is not None:
+        prefix, k0, w0, s = split
+        expanded = {(w, k) for k, w in enumerate(prefix, 1)}
+        expanded |= {(w0 + s * (k - k0), k) for k in range(k0, dmax + 1)
+                     if w0 + s * (k - k0) <= cmax}
+    assert expanded == table
+    # the Newton steps use the split on every shorter box too
+    for b in range(dmax + 1):
+        _check_split(split, weights[:b + 1], cmax, b)
+
+
+def test_tampered_tail_split_is_rejected():
+    weights = LINEAR.table(10)
+    split = _tail_split(weights, 12, 10)
+    assert split == TailSplit((1,), 2, 3, 1)
+    for bad in (split._replace(s=2), split._replace(w0=4),
+                split._replace(prefix=()), None):
+        with pytest.raises(SolverError, match="tail split"):
+            _check_split(bad, weights, 12, 10)
+    odd = ODD.table(10)
+    assert _tail_split(odd, 12, 10) == TailSplit((), 1, 1, 2)
+    with pytest.raises(SolverError, match="tail split"):
+        _check_split(TailSplit((), 1, 1, 3), odd, 12, 10)
+
+
+# a run that starts late, and a first weight far below the rest
+EDGE_RULES = [CodimWeight("late", lambda k: 1 if k < 3 else 2 * k - 5),
+              CodimWeight("steep", lambda k: 1 if k == 1 else 5 * k)]
+
+
+def test_edge_rule_splits():
+    late, steep = EDGE_RULES
+    assert _tail_split(late.table(8), 8, 8) == TailSplit((1, 1), 3, 1, 2)
+    assert _tail_split(steep.table(8), 8, 8) == TailSplit((), 1, 1, 9)
+
+
+@pytest.mark.parametrize("conv", EDGE_RULES, ids=[r.name for r in EDGE_RULES])
+def test_edge_rules_match_naive_sweep(conv):
+    test_solver_matches_naive_sweep(conv)
 
 
 def test_trivial_boxes():

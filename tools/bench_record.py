@@ -1,0 +1,134 @@
+"""Record benchmark runs of two checkouts into one BENCH file, and summarise it.
+
+    python3 tools/bench_record.py pairs --parent DIR --change DIR \
+        --workload deep-table --seeds 51-60 --out BENCH_6.json
+    python3 tools/bench_record.py summary BENCH_6.json
+
+Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
+--trace 0` inside the checkout, S being run_seconds in this repository's
+BENCHMARK.json, so both checkouts run for the same time.  The last two lines of its standard output, the
+environment line and the result, are appended to the BENCH file under the
+label `parent` or `change`, with a digest of the checkout's sources;
+the two checkouts run alternately, the parent first on odd seeds.
+`summary` prints, per workload and end-to-end metric, each side's median
+and quartiles and how many seed pairs the change won.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SCHEMA = "bench@1"
+LABELS = ("parent", "change")
+RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1]
+                          / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def source_digest(checkout: Path) -> str:
+    """SHA-256 over the checkout's package sources, in path order."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        h.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(RUN_SECONDS),
+           "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    env_line, result_line = out.strip().splitlines()[-2:]
+    return {**json.loads(env_line), **json.loads(result_line)}
+
+
+def append(out: Path, label: str, checkout: Path, record: dict) -> None:
+    doc = (json.loads(out.read_text()) if out.exists()
+           else {"schema": SCHEMA, "runs": []})
+    if doc.get("schema") != SCHEMA:
+        raise SystemExit(f"{out}: schema is not {SCHEMA}")
+    doc["runs"].append({"label": label, "source_sha256":
+                        source_digest(checkout), **record})
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def record(out: Path, label: str, checkout: Path, workload: str,
+           seed: int) -> None:
+    rec = run_once(checkout, workload, seed)
+    append(out, label, checkout, rec)
+    print(f"{label:6} {workload} seed {seed}: wall_s "
+          f"{rec['metrics']['wall_s']['value']:.4f} "
+          f"correct={rec['correct']}", flush=True)
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summary(path: Path) -> None:
+    runs = json.loads(path.read_text())["runs"]
+    workloads = sorted({r["env"]["workload"] for r in runs})
+    for w in workloads:
+        by = {lab: {r["env"]["seed"]: r for r in runs
+                    if r["label"] == lab and r["env"]["workload"] == w}
+              for lab in LABELS}
+        seeds = sorted(set(by["parent"]) & set(by["change"]))
+        unpaired = sum(len(by[lab]) for lab in LABELS) - 2 * len(seeds)
+        if not seeds:
+            print(f"{w}: no complete pair, {unpaired} unpaired runs skipped")
+            continue
+        print(f"{w}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}"
+              + (f", {unpaired} unpaired runs skipped" if unpaired else ""))
+        for name in by["parent"][seeds[0]]["metrics"]:
+            pv = [by["parent"][s]["metrics"][name]["value"] for s in seeds]
+            cv = [by["change"][s]["metrics"][name]["value"] for s in seeds]
+            p, c = quartiles(pv), quartiles(cv)
+            wins = sum(b < a for a, b in zip(pv, cv))
+            change = (c[1] / p[1] - 1) * 100 if p[1] else 0.0
+            print(f"  {name:15} parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]"
+                  f"  change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]"
+                  f"  {change:+.1f}%  lower in {wins}/{len(seeds)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    pair = sub.add_parser("pairs")
+    pair.add_argument("--parent", type=Path, required=True)
+    pair.add_argument("--change", type=Path, required=True)
+    pair.add_argument("--workload", required=True)
+    pair.add_argument("--seeds", type=seed_range, required=True)
+    pair.add_argument("--out", type=Path, required=True)
+    show = sub.add_parser("summary")
+    show.add_argument("path", type=Path)
+    args = parser.parse_args(argv)
+
+    if args.cmd == "summary":
+        summary(args.path)
+    else:
+        for seed in args.seeds:
+            order = LABELS if seed % 2 else LABELS[::-1]
+            for label in order:
+                checkout = getattr(args, label).resolve()
+                record(args.out, label, checkout, args.workload, seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
