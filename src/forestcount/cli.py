@@ -229,9 +229,7 @@ def _check_line(rep: dict) -> str:
     if rep["check"] == "growth-constant":
         extra = f"  value={details['value']:.6f}"
     elif rep["check"] == "row-sum":
-        ratio = details["final_ratio"]
-        shown = "n/a" if ratio is None else f"{ratio:.4f}"
-        extra = (f"  final_ratio={shown}"
+        extra = (f"  final_ratio={details['final_ratio']:.4f}"
                  f"  growth={details['growth_constant']:.4f}")
     elif rep["check"] == "cross-routes":
         extra = "  matches=" + ",".join(details["matching_conventions"])
@@ -252,6 +250,9 @@ def cmd_verify(args) -> int:
     if args.only and args.only not in CHECKS:
         raise UsageError(f"unknown check {args.only!r}; available: "
                          + ", ".join(CHECKS))
+    if args.row_sum_dmax < 1:
+        raise UsageError("--row-sum-dmax must be at least 1: a one-row "
+                         "box has no ratio to judge")
     # guard every user-sized box before any check runs; the artifact is
     # built on the cross-routes box, and row-sum solves (2*dmax, dmax)
     guarded = [args.only] if args.only else list(CHECKS)

@@ -12,14 +12,20 @@ integer), so there is no rounding and no overflow at any magnitude.
 Instances are immutable after construction and safe to share across
 threads; all operations are pure functions.
 
-Products are computed through a packed representation: each d-row is
-encoded into one signed big integer sum_c row[c] * 2**(8*bps*c) with
-fixed-width slots along c, turning a whole row convolution into a single
-int multiplication whatever the signs.  Slots are sized so that every
-slot of a product stays below 2**(8*bps-1) in absolute value; a product
-row is read back by adding a bias with the top bit of each slot set
-(computed once per product), flipping those bits back and reading each
-slot as a two's-complement value.  That keeps the dominant cost inside
+Products and quotients run through one row loop, `_convolve`, over a
+packed representation: each d-row is encoded into one signed big integer
+sum_c row[c] * 2**(8*bps*c) with fixed-width slots along c, turning a
+whole row convolution into a single int multiplication whatever the
+signs.  Slots are sized so that every slot of a row sum stays below
+2**(8*bps-1) in absolute value; a row is read back by adding a bias with
+the top bit of each slot set, flipping those bits back and reading each
+slot as a two's-complement value.  A product uses one width, sized from
+both whole operands.  A quotient feeds its own rows back into the loop
+as they are produced; when they outgrow its width, the width at least
+doubles and every row is packed again, so repacks stay logarithmic.  A
+denominator whose row 0 has x terms, D0(x), is first reduced to row 0 = 1
+by multiplying both sides by 1/D0(x), the quotient of the transposed
+one-row series.  That keeps the dominant cost inside
 CPython's big-int multiply rather than Python-level loops, which is what
 makes the large verification boxes affordable.  A plain nested-loop
 product (`mul_reference`) is kept alongside and is cross-checked against
@@ -33,11 +39,6 @@ from typing import Iterator, Sequence
 
 class BoxMismatchError(ValueError):
     """Two series with different truncation boxes were combined."""
-
-
-def _absmax(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Largest |coefficient| in the given rows (0 for no rows)."""
-    return max((max(map(abs, row)) for row in rows), default=0)
 
 
 def _pack(row: Sequence[int], bps: int) -> int:
@@ -89,6 +90,47 @@ def _unpack(acc: int, nslots: int, bps: int, bias: int) -> list[int]:
     buf = low.to_bytes(nslots * bps, "little")
     return [int.from_bytes(buf[c * bps:(c + 1) * bps], "little", signed=True)
             for c in range(nslots)]
+
+
+def _convolve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+              lo: int, dbound: int) -> Iterator[tuple[int, ...]]:
+    """Yield the rows sum_{i=lo..d} a[i] * b[d-i] for d = 0..dbound.
+
+    a holds rows 0..dbound.  b may grow while rows are read: a quotient
+    passes the list of its own rows and appends row d after reading row
+    d (lo = 1, so row d reads b[0..d-1] only).  The slot width is sized
+    whenever b has grown, and only ever widens, by at least doubling; a
+    product's b is complete from the start, so its one width is sized
+    from both whole operands.  A row that sums to zero is a shared zero
+    tuple.
+    """
+    nslots = len(a[0])
+    abits = max(max(map(abs, r)) for r in a).bit_length()
+    zero_row = (0,) * nslots
+    bmax, bps = 1, 0
+    pa: list[int] = []
+    pb = pa if b is a else []
+    for d in range(dbound + 1):
+        # new rows of b: all of a product's b at row 0, a quotient's row
+        # d-1 at each row d >= 1 (row 0 of a quotient sums no term)
+        new = b[len(pb):]
+        if new:
+            for r in new:
+                bmax = max(bmax, *map(abs, r))
+            # whole bytes for max|a| * max(|b|, 1) times the slot products
+            # of a row summed before b grows again, plus a sign bit
+            terms = nslots * (min(len(b), dbound) + 1)
+            need = (abits + bmax.bit_length() + terms.bit_length() + 8) // 8
+            if need > bps:
+                # slots grew: every row is packed again below, at the new width
+                bps = max(need, 2 * bps)
+                bias = _bias(nslots, bps)
+                pa.clear()
+                pb.clear()
+            for rows, packed in ((a, pa), (b, pb)):
+                packed.extend([_pack(r, bps) for r in rows[len(packed):]])
+        acc = _mac(pa, pb, lo, d)
+        yield tuple(_unpack(acc, nslots, bps, bias)) if acc else zero_row
 
 
 class BiSeries:
@@ -235,30 +277,13 @@ class BiSeries:
         out or truncated away.
         """
         self._check_box(other)
-        cmax, dmax = self.cmax, self.dmax
         if dbound < 0:
-            return BiSeries.zero(cmax, dmax)
-        dbound = min(dbound, dmax)
-        maxa = _absmax(self._rows[:dbound + 1])
-        maxb = _absmax(other._rows[:dbound + 1])
-        if maxa == 0 or maxb == 0:
-            return BiSeries.zero(cmax, dmax)
-        cells = (cmax + 1) * (dmax + 1)
-        bits = maxa.bit_length() + maxb.bit_length() + cells.bit_length() + 1
-        bps = (bits + 7) // 8
-        pa = [_pack(r, bps) for r in self._rows[:dbound + 1]]
-        pb = pa if other is self else [_pack(r, bps)
-                                       for r in other._rows[:dbound + 1]]
-        nslots = cmax + 1
-        bias = _bias(nslots, bps)
-        zero_row = (0,) * nslots
-        out: list[tuple[int, ...]] = []
-        for d in range(dbound + 1):
-            acc = _mac(pa, pb, 0, d)
-            out.append(tuple(_unpack(acc, nslots, bps, bias)) if acc
-                       else zero_row)
-        out.extend([zero_row] * (dmax - dbound))
-        return BiSeries(cmax, dmax, tuple(out))
+            return BiSeries.zero(self.cmax, self.dmax)
+        dbound = min(dbound, self.dmax)
+        a = self._rows[:dbound + 1]
+        b = a if other is self else other._rows[:dbound + 1]
+        rows = tuple(_convolve(a, b, 0, dbound))
+        return BiSeries(self.cmax, dbound, rows).pad(self.dmax)
 
     def __pow__(self, e: int) -> "BiSeries":
         """e-th truncated power by binary exponentiation (e >= 0)."""
@@ -328,66 +353,31 @@ class BiSeries:
         return BiSeries.one(self.cmax, self.dmax)._divide_bounded(self, self.dmax)
 
     def _divide_bounded(self, den: "BiSeries", dbound: int) -> "BiSeries":
-        """Quotient rows for d <= dbound, zero above (exact on retained rows)."""
+        """Quotient rows for d <= dbound, zero above (exact on retained rows).
+
+        With den's row 0 the constant unit, row d of den * q = self gives
+        q_d = unit * (self_d - sum_{i=1..d} den_i q_{d-i}).
+        """
         self._check_box(den)
         cmax, dmax = self.cmax, self.dmax
         dbound = min(dbound, dmax)
-        unit = den._rows[0][0]
+        den0 = den._rows[0]
+        unit = den0[0]
         if unit not in (1, -1):
             raise ValueError(f"constant term must be +-1, got {unit}")
         if dbound < 0:
             return BiSeries.zero(cmax, dmax)
-        # univariate inverse (in x) of den's d=0 row
-        den0 = den._rows[0]
-        inv0 = [0] * (cmax + 1)
-        inv0[0] = unit
-        for c in range(1, cmax + 1):
-            s = 0
-            for j in range(1, c + 1):
-                if den0[j]:
-                    s += den0[j] * inv0[c - j]
-            inv0[c] = -unit * s
-        inv0_trivial = not any(den0[1:])
-        maxden = _absmax(den._rows[:dbound + 1])
-
-        out_rows: list[list[int]] = []
-        nslots = cmax + 1
-        bps = 0
-        pden: list[int] = []
-        pout: list[int] = []
-        maxout = 1
-        for d in range(dbound + 1):
-            rhs = list(self._rows[d])
-            if d:
-                needed = (maxden.bit_length() + maxout.bit_length()
-                          + ((cmax + 1) * (d + 1)).bit_length() + 1)
-                if (needed + 7) // 8 > bps:
-                    # slots grew: repack everything at the new width
-                    bps = max((needed + 7) // 8, 2 * bps)
-                    bias = _bias(nslots, bps)
-                    pden = [_pack(r, bps) for r in den._rows[:dbound + 1]]
-                    pout = [_pack(r, bps) for r in out_rows]
-                else:
-                    pout.append(_pack(out_rows[-1], bps))
-                acc = _mac(pden, pout, 1, d)
-                if acc:
-                    rhs = [r - v for r, v in
-                           zip(rhs, _unpack(acc, nslots, bps, bias))]
-            if inv0_trivial:
-                row = [unit * v for v in rhs]
-            else:
-                row = [0] * nslots
-                for c1, v1 in enumerate(inv0):
-                    if v1:
-                        for c2 in range(nslots - c1):
-                            if rhs[c2]:
-                                row[c1 + c2] += v1 * rhs[c2]
-            out_rows.append(row)
-            maxout = max(maxout, max(map(abs, row)))
-        zero_row = (0,) * nslots
-        rows = tuple(tuple(r) for r in out_rows)
-        rows += (zero_row,) * (dmax - dbound)
-        return BiSeries(cmax, dmax, rows)
+        if any(den0[1:]):
+            # reduce row 0 to 1 through this same path: multiply both
+            # sides by 1/D0(x), the inverse of D0 transposed into y
+            inv0 = BiSeries(0, cmax, tuple((v,) for v in den0)).invert()
+            scale = BiSeries(cmax, 0, (tuple(inv0.grid()[0]),)).pad(dmax)
+            return (self * scale)._divide_bounded(den * scale, dbound)
+        q: list[tuple[int, ...]] = []
+        sums = _convolve(den._rows[:dbound + 1], q, 1, dbound)
+        for row, s in zip(self._rows, sums):
+            q.append(tuple(unit * (v - w) for v, w in zip(row, s)))
+        return BiSeries(cmax, dbound, tuple(q)).pad(dmax)
 
 
 def mul_reference(a: BiSeries, b: BiSeries) -> BiSeries:

@@ -307,7 +307,10 @@ def row_sum_check(dmax: int = 60, convention: str = "odd") -> dict:
     (the support bound caps c below 2d).  The report carries the first
     sums, every successive ratio, the degree from which the ratios stay
     inside RATIO_WINDOW, and the comparison against growth_constant().
+    dmax must be at least 1: a one-row box has no ratio to judge.
     """
+    if dmax < 1:
+        raise ValueError(f"row-sum needs dmax >= 1, got {dmax}")
     solution = cached_solution(convention, 2 * dmax, dmax)
     n1 = solution.n1
     sums = [sum(n1.coeff(c, d) for c in range(2 * dmax + 1))
@@ -325,14 +328,14 @@ def row_sum_check(dmax: int = 60, convention: str = "odd") -> dict:
     residual = derived_q().residual(row_sums)
     offending = [[d, v] for _, d, v in islice(residual.terms(), 20)]
     rate = growth_constant()
-    final_ratio = ratios[-1] if ratios else None
+    final_ratio = ratios[-1]
     ok = not offending and stable_from < dmax
     return _report(
         "row-sum", "pass" if ok else "fail", offending,
         dmax=dmax, convention=convention,
         first_sums=[str(s) for s in sums[:8]],
         final_ratio=final_ratio, growth_constant=rate,
-        final_ratio_over_growth=(final_ratio / rate if final_ratio else None),
+        final_ratio_over_growth=final_ratio / rate,
         ratio_window=[lo, hi], ratios_stable_from=stable_from,
         residual_zero=not offending)
 

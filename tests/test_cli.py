@@ -172,12 +172,16 @@ def test_verify_only_oracle(capsys):
     assert "PASS" in out
 
 
-def test_verify_row_sum_without_ratios_renders_na(capsys):
-    # a one-row box has no successive ratio: reported, not a traceback
+def test_verify_row_sum_dmax_below_one_is_usage_error(capsys):
+    # a one-row box has no successive ratio to judge: rejected before any
+    # check runs, while a box too small to stabilise still fails (exit 2)
+    assert main(["verify", "--only", "row-sum", "--row-sum-dmax", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --row-sum-dmax")
     code, out = run(capsys, "verify", "--only", "row-sum",
-                    "--row-sum-dmax", "0")
+                    "--row-sum-dmax", "6")
     assert code == 2
-    assert "final_ratio=n/a" in out
     assert "FAIL  row-sum" in out
 
 

@@ -214,6 +214,25 @@ def series_triple(draw, bound=50, min_c=0):
     return a, same_box(), same_box()
 
 
+@st.composite
+def skewed_triple(draw):
+    """Three series on one box: rows below a drawn split hold tiny
+    coefficients, the rows from it on hold +-2**130-sized ones."""
+    cmax = draw(st.integers(1, 4))
+    dmax = draw(st.integers(2, 5))
+    split = draw(st.integers(1, dmax))
+    tiny = st.integers(-3, 3)
+    huge = st.builds(lambda v, sign: sign * v, st.integers(WIDE - 3, WIDE),
+                     st.sampled_from([1, -1]))
+
+    def series():
+        rows = [[draw(tiny if d < split else huge) for _ in range(cmax + 1)]
+                for d in range(dmax + 1)]
+        return BiSeries(cmax, dmax, tuple(tuple(r) for r in rows))
+
+    return series(), series(), series()
+
+
 def with_unit(s, unit):
     """s with constant term unit and a nonzero x^1 y^0 term (if cmax >= 1)."""
     rows = [list(r) for r in s._rows]
@@ -259,6 +278,21 @@ def test_packed_product_fills_slots(bits):
         a = series_from(cmax, dmax, full)
         for b in (a, -a):
             assert a * b == mul_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_triple(), st.sampled_from([1, -1]))
+def test_skewed_rows_match_reference(triple, unit):
+    # slots sized from the tiny low rows alone overflow on the high rows,
+    # and the quotient's rows outgrow its first width partway through
+    a, b, c = triple
+    assert a * b == mul_reference(a, b)
+    assert a * a == mul_reference(a, a)
+    plain = (unit,) + (0,) * a.cmax
+    with_x = (unit, c.coeff(1, 0) or 1) + c._rows[0][2:]
+    for row0 in (plain, with_x):
+        den = BiSeries(a.cmax, a.dmax, (row0,) + c._rows[1:])
+        assert mul_reference(den, b.divide(den)) == b
 
 
 @settings(max_examples=40, deadline=None)

@@ -173,6 +173,11 @@ def test_row_sum_report_schema():
     assert report["check"] == "row-sum"
 
 
+def test_row_sum_rejects_box_without_ratios():
+    with pytest.raises(ValueError):
+        row_sum_check(0)
+
+
 # ----------------------------------------------------------------------
 # aggregate checks at reduced scale
 # ----------------------------------------------------------------------

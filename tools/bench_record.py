@@ -11,8 +11,10 @@ environment line and the result, are appended to the BENCH file under the
 label `parent` or `change`, with a digest of the checkout's sources;
 the two checkouts run alternately, the parent first on odd seeds.
 `summary` prints, per workload and end-to-end metric, each side's median
-and quartiles and how many seed pairs the change won.  Standard library
-only.
+and quartiles and how many seed pairs the change won in the metric's
+`better` direction, and marks REGRESSED a metric whose change median is
+worse than the parent median by more than its relative `bound`, both
+from BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from pathlib import Path
 
 SCHEMA = "bench@1"
 LABELS = ("parent", "change")
-RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1]
-                          / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 
 def source_digest(checkout: Path) -> str:
@@ -99,11 +103,16 @@ def summary(path: Path) -> None:
             pv = [by["parent"][s]["metrics"][name]["value"] for s in seeds]
             cv = [by["change"][s]["metrics"][name]["value"] for s in seeds]
             p, c = quartiles(pv), quartiles(cv)
-            wins = sum(b < a for a, b in zip(pv, cv))
+            spec = END_TO_END[name]
+            # +1 when higher is better: sign * (change - parent) > 0 wins
+            sign = 1 if spec["better"] == "higher" else -1
+            wins = sum(sign * (b - a) > 0 for a, b in zip(pv, cv))
+            worse = sign * (p[1] - c[1]) > spec["bound"] * abs(p[1])
             change = (c[1] / p[1] - 1) * 100 if p[1] else 0.0
             print(f"  {name:15} parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]"
                   f"  change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]"
-                  f"  {change:+.1f}%  lower in {wins}/{len(seeds)}")
+                  f"  {change:+.1f}%  {spec['better']} in {wins}/{len(seeds)}"
+                  + ("  REGRESSED" if worse else ""))
 
 
 def main(argv=None) -> int:
