@@ -19,13 +19,17 @@ whole row convolution into a single int multiplication whatever the
 signs.  Slots are sized so that every slot of a row sum stays below
 2**(8*bps-1) in absolute value; a row is read back by adding a bias with
 the top bit of each slot set, flipping those bits back and reading each
-slot as a two's-complement value.  A product uses one width, sized from
-both whole operands.  A quotient feeds its own rows back into the loop
-as they are produced; when they outgrow its width, the width at least
-doubles and every row is packed again, so repacks stay logarithmic.  A
-denominator whose row 0 has x terms, D0(x), is first reduced to row 0 = 1
-by multiplying both sides by 1/D0(x), the quotient of the transposed
-one-row series.  That keeps the dominant cost inside
+slot as a two's-complement value.  Slots are sized row by row: output
+row d sums a_i * b_{d-i}, and its slots are sized from the widest pair
+of nonzero rows that meet there, in whole bytes rounded up to a power of
+two.  Coefficients grow with the degree, so low rows use narrow slots
+and only the top rows pay for the widest; an operand row is packed once
+for each of the few widths that use it.  A quotient feeds its own rows
+back into the loop as they are produced; row d reads only the rows
+before it, whose sizes are already known, so no row is ever packed
+again.  A denominator whose row 0 has x terms, D0(x), is first reduced
+to row 0 = 1 by multiplying both sides by 1/D0(x), the quotient of the
+transposed one-row series.  That keeps the dominant cost inside
 CPython's big-int multiply rather than Python-level loops, which is what
 makes the large verification boxes affordable.  A plain nested-loop
 product (`mul_reference`) is kept alongside and is cross-checked against
@@ -92,43 +96,56 @@ def _unpack(acc: int, nslots: int, bps: int, bias: int) -> list[int]:
             for c in range(nslots)]
 
 
+def _row_bits(rows: Sequence[Sequence[int]]) -> list[int]:
+    """max|v|.bit_length() of each row: 0 exactly for an all-zero row."""
+    return [max(map(abs, r)).bit_length() for r in rows]
+
+
 def _convolve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
               lo: int, dbound: int) -> Iterator[tuple[int, ...]]:
     """Yield the rows sum_{i=lo..d} a[i] * b[d-i] for d = 0..dbound.
 
     a holds rows 0..dbound.  b may grow while rows are read: a quotient
     passes the list of its own rows and appends row d after reading row
-    d (lo = 1, so row d reads b[0..d-1] only).  The slot width is sized
-    whenever b has grown, and only ever widens, by at least doubling; a
-    product's b is complete from the start, so its one width is sized
-    from both whole operands.  A row that sums to zero is a shared zero
+    d (lo = 1, so row d reads b[0..d-1] only, whose sizes are known by
+    then).  Each output row sizes its own slots from the rows that meet
+    in it: the largest bits(a_i) + bits(b_{d-i}) over the pairs with both
+    rows nonzero, plus the bits of nslots * (d+1), the most slot products
+    one slot can sum, plus a sign bit, in whole bytes rounded up to a
+    power of two.  Each such width class keeps its own packed rows and
+    bias; a row is packed into a class the first time it meets a nonzero
+    row there, so it is packed at most once per class and never again.
+    A row with no nonzero pair, or whose sum is zero, is a shared zero
     tuple.
     """
     nslots = len(a[0])
-    abits = max(max(map(abs, r)) for r in a).bit_length()
     zero_row = (0,) * nslots
-    bmax, bps = 1, 0
-    pa: list[int] = []
-    pb = pa if b is a else []
+    abits = _row_bits(a)
+    bbits = abits if b is a else []
+    # width class bps -> (packed rows of a, packed rows of b, _bias); a
+    # nonzero row packs to a nonzero int, so 0 also marks "not packed yet"
+    classes: dict[int, tuple[list[int], list[int], int]] = {}
     for d in range(dbound + 1):
-        # new rows of b: all of a product's b at row 0, a quotient's row
-        # d-1 at each row d >= 1 (row 0 of a quotient sums no term)
-        new = b[len(pb):]
-        if new:
-            for r in new:
-                bmax = max(bmax, *map(abs, r))
-            # whole bytes for max|a| * max(|b|, 1) times the slot products
-            # of a row summed before b grows again, plus a sign bit
-            terms = nslots * (min(len(b), dbound) + 1)
-            need = (abits + bmax.bit_length() + terms.bit_length() + 8) // 8
-            if need > bps:
-                # slots grew: every row is packed again below, at the new width
-                bps = max(need, 2 * bps)
-                bias = _bias(nslots, bps)
-                pa.clear()
-                pb.clear()
-            for rows, packed in ((a, pa), (b, pb)):
-                packed.extend([_pack(r, bps) for r in rows[len(packed):]])
+        if bbits is not abits:
+            bbits += _row_bits(b[len(bbits):])
+        pairs = [i for i in range(lo, d + 1) if abits[i] and bbits[d - i]]
+        if not pairs:
+            yield zero_row
+            continue
+        need = max([abits[i] + bbits[d - i] for i in pairs])
+        nbytes = (need + (nslots * (d + 1)).bit_length() + 8) // 8
+        bps = 1 << (nbytes - 1).bit_length()
+        if bps not in classes:
+            pa = [0] * (dbound + 1)
+            classes[bps] = (pa, pa if b is a else pa[:], _bias(nslots, bps))
+        pa, pb, bias = classes[bps]
+        # only rows that meet here are packed: another row of a or b may
+        # be too wide for this class
+        for i in pairs:
+            if not pa[i]:
+                pa[i] = _pack(a[i], bps)
+            if not pb[d - i]:
+                pb[d - i] = _pack(b[d - i], bps)
         acc = _mac(pa, pb, lo, d)
         yield tuple(_unpack(acc, nslots, bps, bias)) if acc else zero_row
 

@@ -216,17 +216,25 @@ def series_triple(draw, bound=50, min_c=0):
 
 @st.composite
 def skewed_triple(draw):
-    """Three series on one box: rows below a drawn split hold tiny
-    coefficients, the rows from it on hold +-2**130-sized ones."""
+    """Three series on one box whose row magnitudes jump at a drawn split:
+    either tiny coefficients below it and +-2**130-sized ones from it on,
+    or mirrored, +-2**130-sized rows below it, an all-zero row at it and
+    tiny rows above it."""
     cmax = draw(st.integers(1, 4))
     dmax = draw(st.integers(2, 5))
-    split = draw(st.integers(1, dmax))
+    falling = draw(st.booleans())
+    split = draw(st.integers(1, dmax - 1 if falling else dmax))
     tiny = st.integers(-3, 3)
     huge = st.builds(lambda v, sign: sign * v, st.integers(WIDE - 3, WIDE),
                      st.sampled_from([1, -1]))
 
+    def kind(d):
+        if not falling:
+            return tiny if d < split else huge
+        return huge if d < split else st.just(0) if d == split else tiny
+
     def series():
-        rows = [[draw(tiny if d < split else huge) for _ in range(cmax + 1)]
+        rows = [[draw(kind(d)) for _ in range(cmax + 1)]
                 for d in range(dmax + 1)]
         return BiSeries(cmax, dmax, tuple(tuple(r) for r in rows))
 
@@ -283,8 +291,9 @@ def test_packed_product_fills_slots(bits):
 @settings(max_examples=60, deadline=None)
 @given(skewed_triple(), st.sampled_from([1, -1]))
 def test_skewed_rows_match_reference(triple, unit):
-    # slots sized from the tiny low rows alone overflow on the high rows,
-    # and the quotient's rows outgrow its first width partway through
+    # each output row has its own slot width, so a row packed or read at
+    # another row's width overflows: the huge rows at a tiny row's width,
+    # the quotient's growing rows at the width of the rows before them
     a, b, c = triple
     assert a * b == mul_reference(a, b)
     assert a * a == mul_reference(a, a)

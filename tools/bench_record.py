@@ -12,9 +12,19 @@ label `parent` or `change`, with a digest of the checkout's sources;
 the two checkouts run alternately, the parent first on odd seeds.
 `summary` prints, per workload and end-to-end metric, each side's median
 and quartiles and how many seed pairs the change won in the metric's
-`better` direction, and marks REGRESSED a metric whose change median is
-worse than the parent median by more than its relative `bound`, both
-from BENCHMARK.json.  Standard library only.
+`better` direction, and marks each metric with a verdict, `better` and
+the relative `bound` coming from BENCHMARK.json:
+
+    GAIN        the change won at least nine tenths of the pairs and the
+                medians differ, in the better direction, by more than the
+                parent's interquartile range
+    UNRESOLVED  not a gain, the parent's interquartile range is wider than
+                the bound (relative to its median), and not every change
+                run beats every parent run: the spread hides the bound
+    REGRESSED   the change median is worse than the parent median by more
+                than the bound
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -107,12 +117,21 @@ def summary(path: Path) -> None:
             # +1 when higher is better: sign * (change - parent) > 0 wins
             sign = 1 if spec["better"] == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(pv, cv))
-            worse = sign * (p[1] - c[1]) > spec["bound"] * abs(p[1])
+            iqr = p[2] - p[0]
+            # every change run beats every parent run
+            sweep = min(sign * v for v in cv) > max(sign * v for v in pv)
+            marks = []
+            if 10 * wins >= 9 * len(seeds) and sign * (c[1] - p[1]) > iqr:
+                marks.append("GAIN")
+            elif iqr > spec["bound"] * abs(p[1]) and not sweep:
+                marks.append("UNRESOLVED")
+            if sign * (p[1] - c[1]) > spec["bound"] * abs(p[1]):
+                marks.append("REGRESSED")
             change = (c[1] / p[1] - 1) * 100 if p[1] else 0.0
             print(f"  {name:15} parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]"
                   f"  change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]"
                   f"  {change:+.1f}%  {spec['better']} in {wins}/{len(seeds)}"
-                  + ("  REGRESSED" if worse else ""))
+                  + "".join("  " + m for m in marks))
 
 
 def main(argv=None) -> int:
