@@ -14,12 +14,14 @@ conventions are provided and every query can be run under either, so
 that any convention-dependent cell is surfaced rather than hidden.
 
 Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
-n4 = G(n4) for simple configurations).  Newton's iteration
-z <- z + (G(z) - z) / (1 - G'(z)) doubles the number of exact y-degrees
-at each step (Brent and Kung, J. ACM 25(4), 1978), so about log2(dmax)
-steps reach the box, and each step works on the box of the rows it
-makes exact.  The defining equations are re-verified on the full box
-before a solution is returned.
+n4 = G(n4) for simple configurations).  A step of Newton's iteration
+z <- z + (G(z) - z) / (1 - G'(z)) can double the number of exact
+y-degrees (Brent and Kung, J. ACM 25(4), 1978).  The steps follow the
+halving ladder ceil((dmax+1) / 2^j) upwards (von zur Gathen and Gerhard,
+Modern Computer Algebra, section 9), so dmax.bit_length() steps reach the
+box, each works on the box of the rows it makes exact, and only the last
+works on the full box.  The defining equations are re-verified on the
+full box before a solution is returned.
 
 The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
 every weight table splits there into a prefix P of k0 - 1 terms and one
@@ -30,7 +32,10 @@ fixed as the box grows for a rule that ends arithmetic, as both built-in
 conventions do (k0 = 1 for odd, 2 for linear); for one that never does,
 such as weight(k) = k^2, it grows with the box.  The full-box gate checks
 the meeting-point equation multiplied through by 1 - x^s t, without a
-division.
+division, in k0 products.
+
+Factors that a power of y multiplies are built only through the rows
+that stay in the box (see _below).
 """
 
 from __future__ import annotations
@@ -169,6 +174,13 @@ def _prefix_powers(u: BiSeries,
     return terms, uk
 
 
+def _below(z: BiSeries, k: int) -> BiSeries:
+    """z without its top k rows (row 0 always stays): the rows of a factor
+    that y^k shifts out of the box.  w.pad(z.dmax).shift(0, k) puts a
+    result w built from it back on z's box."""
+    return z.crop(z.cmax, max(z.dmax - k, 0))
+
+
 @dataclass(frozen=True)
 class SystemSolution:
     """Solved (n1, n2, n3) triple on a box, under one weight convention."""
@@ -184,12 +196,13 @@ class SystemSolution:
         cmax, dmax = self.box
         one = BiSeries.one(cmax, dmax)
         split = _tail_split(self.convention.table(dmax), cmax, dmax)
-        n2p4 = self.n2 ** 4
-        if self.n1 != one + n2p4.shift(0, 1):
+        if self.n1 != one + (_below(self.n2, 1) ** 4).pad(dmax).shift(0, 1):
             raise SolverError("equation n1 = 1 + y n2^4 violated")
         if self.n1 * self.n3 != self.n2:
             raise SolverError("equation n2 = n1 n3 violated")
-        v = (n2p4 * self.n3).shift(0, 1)
+        # truncation to the box is a ring homomorphism, so with both
+        # equations holding there, y n2^4 n3 = (n1 - 1) n3 = n2 - n3 exactly
+        v = self.n2 - self.n3
         if not _weighted_tail(self.n1, self.n2, v, split):
             raise SolverError("meeting-point equation for n2 violated")
         for name, s in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
@@ -201,36 +214,42 @@ def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
                    split: TailSplit | None) -> bool:
     """Whether n2 = n1 + n2 T(v) holds on the box, for v = y n2^4 n3.
 
-    The equation is checked in cleared form,
-    (n2 - n1 - n2 P(v)) (1 - x^s v) = x^w0 v^k0 n2.  Since 1 - x^s v has
-    constant term 1, the cleared form holds exactly when the equation
-    does; it has no division, so it is a different computation from the
-    Newton step's.  With no tail on the box it reads n2 = n1.
+    With L = n2 - n1 - n2 P(v), the equation multiplied through by
+    1 - x^s v reads L (1 - x^s v) = x^w0 v^k0 n2.  It is checked as
+    L = v (x^s L + x^w0 v^(k0-1) n2), with v^k n2 built one product at a
+    time, k0 products in all.  Since 1 - x^s v has constant term 1, the
+    cleared form holds exactly when the equation does; it has no
+    division, so it is a different computation from the Newton step's.
+    With no tail on the box it reads n2 = n1.
     """
     if split is None:
         return n2 == n1
-    terms, vk0 = _prefix_powers(v, split)
-    lhs = n2 - n1
-    if terms:
-        lhs = lhs - n2 * sum(terms, BiSeries.zero(n2.cmax, n2.dmax))
-    lhs = lhs - (lhs * v).shift(split.s, 0)
-    return lhs == (vk0 * n2).shift(split.w0, 0)
+    lhs, vkn2 = n2 - n1, n2                 # vkn2 = v^k n2
+    for w in split.prefix:
+        vkn2 = v * vkn2
+        lhs = lhs - vkn2.shift(w, 0)
+    return lhs == v * (lhs.shift(split.s, 0) + vkn2.shift(split.w0, 0))
 
 
 def _newton(step, cmax: int, dmax: int) -> BiSeries:
     """The root of z = G(z) with z(x, 0) = 1, on the box (cmax, dmax).
 
     z lives on the box (cmax, p-1) of its exact rows, starting from p = 1.
-    A step zero-extends z to the box (cmax, q-1), q = min(2p, dmax+1),
+    The precisions q are the halving ladder ceil((dmax+1) / 2^j) in
+    increasing order: dmax.bit_length() steps, each with q <= 2p, the last
+    ending at q = dmax+1.  A step zero-extends z to the box (cmax, q-1)
     that it makes exact; step(z, e) returns G(z) on that box and G'(z)
     on the box (cmax, e), e = q-p-1.  The numerator G(z) - z has
     y-valuation >= p, so rows < q of the quotient need the denominator
     1 - G'(z) only through row e, and G' has y-valuation >= 1, so that
     denominator has constant term 1.
     """
+    ladder, n = [], dmax + 1
+    while n > 1:
+        ladder.append(n)
+        n = (n + 1) // 2
     z, p = BiSeries.one(cmax, 0), 1
-    while p <= dmax:
-        q = min(2 * p, dmax + 1)
+    for q in reversed(ladder):
         e = q - p - 1
         z = z.pad(q - 1)
         g, dg = step(z, e)
@@ -246,20 +265,21 @@ def _system_step(split: TailSplit | None):
     With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
     G(z) = n1 + z T(t) and G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
     dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z T'(t) dt/dz = (5 - 4r) K(t)
-    for K(t) = t T'(t).  With the prefix P and the run R = x^w0 t^k0 / D,
-    D = 1 - x^s t, T = P + R and K = P_K + (k0 - 1) R + R / D, where
-    P_K = sum_{k<k0} k x^weight(k) t^k; this is t R' = k0 R + x^s t R / D
-    with x^s t / D = 1/D - 1.  A step thus takes k0 - 1 products for powers
-    of t and two divisions by D.
+    for K(t) = t T'(t).  Since r = 1 - 1/n1, t = z - z/n1 takes one
+    quotient, and r is needed only on the box (cmax, e) of G'.  With the
+    prefix P and the run R = x^w0 t^k0 / D, D = 1 - x^s t, T = P + R and
+    K = P_K + (k0 - 1) R + R / D, where P_K = sum_{k<k0} k x^weight(k) t^k;
+    this is t R' = k0 R + x^s t R / D with x^s t / D = 1/D - 1.  A step
+    thus takes k0 - 1 products for powers of t and two divisions by D.
     """
 
     def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
         cmax, b = z.cmax, z.dmax
-        z2 = z * z
-        a = (z2 * z2).shift(0, 1)
+        zb = _below(z, 1)
+        z2 = zb * zb
+        a = (z2 * z2).pad(b).shift(0, 1)
         n1 = BiSeries.one(cmax, b) + a
-        r = a.divide(n1)
-        t = z * r
+        t = z - z.divide(n1)
         tt = BiSeries.zero(cmax, b)         # T(t)
         kt = BiSeries.zero(cmax, e)         # K(t)
         if split is not None:
@@ -272,7 +292,8 @@ def _system_step(split: TailSplit | None):
             for k, term in enumerate(terms, 1):
                 kt = kt + term.crop(cmax, e).scale(k)
         g = n1 + z * tt
-        five_4r = BiSeries.one(cmax, e).scale(5) - r.crop(cmax, e).scale(4)
+        r = a.crop(cmax, e).divide(n1.crop(cmax, e))
+        five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)
         dg = ((z2.crop(cmax, e) * z.crop(cmax, e)).scale(4).shift(0, 1)
               + tt.crop(cmax, e) + kt * five_4r)
         return g, dg
@@ -295,20 +316,28 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     conv = get_convention(convention)
     split = _tail_split(conv.table(dmax), cmax, dmax)
     n2 = _newton(_system_step(split), cmax, dmax)
-    n1 = BiSeries.one(cmax, dmax) + (n2 ** 4).shift(0, 1)
+    n1 = BiSeries.one(cmax, dmax) + (_below(n2, 1) ** 4).pad(dmax).shift(0, 1)
     n3 = n2.divide(n1)
     solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))
     solution.verify()
     return solution
 
 
+def _simple_g(z4: BiSeries, dmax: int) -> BiSeries:
+    """G(z) = 1 + y z^4 + 4 x y^2 z^8 on the box (cmax, dmax), from
+    z^4 = _below(z, 1) ** 4."""
+    z8 = _below(z4, 1) ** 2
+    return (BiSeries.one(z4.cmax, dmax) + z4.pad(dmax).shift(0, 1)
+            + z8.scale(4).pad(dmax).shift(1, 2))
+
+
 def _simple_step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
     """G(z) = 1 + y z^4 + 4 x y^2 z^8 and G'(z) = 4 y z^3 + 32 x y^2 z^7."""
     cmax = z.cmax
-    z2 = z * z
+    zb = _below(z, 1)
+    z2 = zb * zb
     z4 = z2 * z2
-    g = (BiSeries.one(cmax, z.dmax) + z4.shift(0, 1)
-         + (z4 * z4).scale(4).shift(1, 2))
+    g = _simple_g(z4, z.dmax)
     z3 = z2.crop(cmax, e) * z.crop(cmax, e)
     dg = (z3.scale(4).shift(0, 1)
           + (z3 * z4.crop(cmax, e)).scale(32).shift(1, 2))
@@ -321,9 +350,7 @@ def solve_simple(cmax: int, dmax: int) -> BiSeries:
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     n4 = _newton(_simple_step, cmax, dmax)
-    n4p4 = n4 ** 4
-    if n4 != (BiSeries.one(cmax, dmax) + n4p4.shift(0, 1)
-              + (n4p4 * n4p4).scale(4).shift(1, 2)):
+    if n4 != _simple_g(_below(n4, 1) ** 4, dmax):
         raise SolverError("simple-configuration equation violated")
     if n4.min_coefficient() < 0:
         raise NegativeCoefficientError("negative coefficient in n4")

@@ -8,7 +8,8 @@ from forestcount.formulas import codim1_count, flat_count, simple_count
 from forestcount.series import BiSeries
 from forestcount.solver import (CONVENTIONS, LINEAR, ODD, CodimWeight,
                                 SolverError, TailSplit, _check_split,
-                                _tail_split, cached_solution, clear_cache,
+                                _newton, _simple_step, _tail_split,
+                                _weighted_tail, cached_solution, clear_cache,
                                 count_configurations, get_convention,
                                 solve_simple, solve_system)
 
@@ -106,12 +107,16 @@ def test_solution_verifies_and_nonnegative(name):
 
 def test_verify_rejects_perturbed_solutions():
     sol = solve_system("odd", 6, 6)
-    bump = BiSeries.monomial(6, 6, 2, 3)
-    for name, message in (("n1", "n1 = 1"), ("n2", "n1 = 1"),
-                          ("n3", "n2 = n1 n3")):
-        bad = dataclasses.replace(sol, **{name: getattr(sol, name) + bump})
-        with pytest.raises(SolverError, match=message):
-            bad.verify()
+    # y n2^4 never reads the top row of n2, so a bump there leaves
+    # n1 = 1 + y n2^4 standing and must break n2 = n1 n3
+    for (c, d), n2_message in (((2, 3), "n1 = 1"), ((0, 6), "n2 = n1 n3"),
+                               ((6, 6), "n2 = n1 n3")):
+        bump = BiSeries.monomial(6, 6, c, d)
+        for name, message in (("n1", "n1 = 1"), ("n2", n2_message),
+                              ("n3", "n2 = n1 n3")):
+            bad = dataclasses.replace(sol, **{name: getattr(sol, name) + bump})
+            with pytest.raises(SolverError, match=message):
+                bad.verify()
     # odd and linear part ways at (4, 4): only the meeting-point tail sees it
     with pytest.raises(SolverError, match="meeting-point"):
         dataclasses.replace(sol, convention=LINEAR).verify()
@@ -178,11 +183,63 @@ def test_solver_matches_naive_sweep(conv):
 
 @pytest.mark.parametrize("conv", RULES[:3], ids=[r.name for r in RULES[:3]])
 def test_clipped_newton_steps_match_a_deeper_solve(conv):
-    # q = min(2p, dmax+1) cuts the last Newton step short for most dmax;
-    # the naive sweep above stops at dmax 8
+    # the halving ladder takes steps with q < 2p for most dmax; the naive
+    # sweep above stops at dmax 8
     deep = solve_system(conv, 6, 24).n2
     for d in range(25):
         assert solve_system(conv, 6, d).n2 == deep.crop(6, d), d
+
+
+def test_newton_follows_the_halving_ladder():
+    for dmax in range(71):
+        steps = []
+
+        def spy(z, e):
+            q = z.dmax + 1
+            steps.append((q - e - 1, q))
+            return _simple_step(z, e)
+
+        _newton(spy, 0, dmax)
+        chain = [1] + [q for _, q in steps]
+        assert steps == list(zip(chain, chain[1:])), dmax
+        assert len(steps) == dmax.bit_length(), dmax
+        assert chain[-1] == dmax + 1, dmax
+        assert all(q <= 2 * p for p, q in steps), (dmax, steps)
+        # each step starts from the fewest exact rows that can reach q
+        # (ceil(q/2)), so the steps before the last are as small as they
+        # can be; doubling from 1 fails this, e.g. 32 -> 33 at dmax = 32
+        assert all(p == (q + 1) // 2 for p, q in steps), (dmax, steps)
+
+
+def cleared_form(n1, n2, v, split):
+    """The meeting-point equation as first cleared for the gate,
+    (n2 - n1 - n2 P(v)) (1 - x^s v) = x^w0 v^k0 n2."""
+    if split is None:
+        return n2 == n1
+    one = BiSeries.one(n2.cmax, n2.dmax)
+    prefix, vk = BiSeries.zero(n2.cmax, n2.dmax), one
+    for w in split.prefix:
+        vk = vk * v
+        prefix = prefix + vk.shift(w, 0)
+    lhs = (n2 - n1 - n2 * prefix) * (one - v.shift(split.s, 0))
+    return lhs == (vk * v * n2).shift(split.w0, 0)
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_weighted_tail_matches_the_cleared_form(conv):
+    sol = solve_system(conv, 8, 8)
+    one = BiSeries.one(8, 8)
+    split = _tail_split(conv.table(8), 8, 8)
+    bumps = [(8, 8), (0, 8), (0, 1), (conv.weight(1), 1), (3, 4)]
+    for bump in [None, *bumps]:
+        n2 = sol.n2 + BiSeries.monomial(8, 8, *bump) if bump else sol.n2
+        n1 = one + (n2 ** 4).shift(0, 1)
+        v = ((n2 ** 4) * n2.divide(n1)).shift(0, 1)
+        # with n1 and v rebuilt from n2, and with the solution's own
+        for args in ((n1, n2, v, split), (sol.n1, n2, sol.n2 - sol.n3, split)):
+            verdict = _weighted_tail(*args)
+            assert verdict == cleared_form(*args), bump
+            assert verdict == (bump is None), bump
 
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])

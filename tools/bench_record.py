@@ -3,13 +3,15 @@
     python3 tools/bench_record.py pairs --parent DIR --change DIR \
         --workload deep-table --seeds 51-60 --out BENCH_6.json
     python3 tools/bench_record.py summary BENCH_6.json
+    python3 tools/bench_record.py counts --parent DIR --change DIR --seed 11
 
 Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0` inside the checkout, S being run_seconds in this repository's
-BENCHMARK.json, so both checkouts run for the same time.  The last two lines of its standard output, the
-environment line and the result, are appended to the BENCH file under the
-label `parent` or `change`, with a digest of the checkout's sources;
-the two checkouts run alternately, the parent first on odd seeds.
+BENCHMARK.json, so both checkouts run for the same time.  The last two
+lines of its standard output, the environment line and the result, are
+appended to the BENCH file under the label `parent` or `change`, with a
+digest of the checkout's sources; the two checkouts run alternately, the
+parent first on odd seeds.
 `summary` prints, per workload and end-to-end metric, each side's median
 and quartiles and how many seed pairs the change won in the metric's
 `better` direction, and marks each metric with a verdict, `better` and
@@ -23,6 +25,13 @@ the relative `bound` coming from BENCHMARK.json:
                 run beats every parent run: the spread hides the bound
     REGRESSED   the change median is worse than the parent median by more
                 than the bound
+
+`counts` runs `benchmarks/run.py --trace 1 --seconds 0` (one untraced and
+one traced run) with one seed in each checkout, for every workload of
+BENCHMARK.json, and prints side by side the per-layer metrics whose unit
+is `count` or `bit`, marking DIFFERS where the two checkouts disagree.
+These counts repeat exactly from run to run, so one run per side
+suffices; it exits 1 if a run's outputs were wrong.
 
 Standard library only.
 """
@@ -43,6 +52,8 @@ BENCHMARK = json.loads((Path(__file__).resolve().parents[1]
                         / "BENCHMARK.json").read_text())
 RUN_SECONDS = BENCHMARK["run_seconds"]
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+COUNTED = [m["name"] for m in BENCHMARK["per_layer"]
+           if m["unit"] in ("count", "bit")]
 
 
 def source_digest(checkout: Path) -> str:
@@ -54,10 +65,12 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int,
+             trace: int = 0) -> dict:
+    seconds = 0 if trace else RUN_SECONDS
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(RUN_SECONDS),
-           "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, text=True,
                          stdout=subprocess.PIPE).stdout
     env_line, result_line = out.strip().splitlines()[-2:]
@@ -134,6 +147,27 @@ def summary(path: Path) -> None:
                   + "".join("  " + m for m in marks))
 
 
+def counts(parent: Path, change: Path, seed: int) -> bool:
+    """Print the count and bit metrics of both checkouts side by side;
+    return whether every run's outputs were correct."""
+    correct = True
+    for w in (w["name"] for w in BENCHMARK["workloads"]):
+        runs = [run_once(checkout.resolve(), w, seed, trace=1)
+                for checkout in (parent, change)]
+        print(f"{w}, seed {seed}:")
+        for label, run in zip(LABELS, runs):
+            if not run["correct"]:
+                correct = False
+                print(f"  {label} run had wrong outputs "
+                      f"({run['failed']} of {run['attempted']} failed)")
+        print(f"  {'metric':28} {'parent':>14} {'change':>14}")
+        for name in COUNTED:
+            p, c = (r["metrics"][name]["value"] for r in runs)
+            print(f"  {name:28} {p:>14,} {c:>14,}"
+                  + ("  DIFFERS" if p != c else ""))
+    return correct
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -145,10 +179,16 @@ def main(argv=None) -> int:
     pair.add_argument("--out", type=Path, required=True)
     show = sub.add_parser("summary")
     show.add_argument("path", type=Path)
+    count = sub.add_parser("counts")
+    count.add_argument("--parent", type=Path, required=True)
+    count.add_argument("--change", type=Path, required=True)
+    count.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
     if args.cmd == "summary":
         summary(args.path)
+    elif args.cmd == "counts":
+        return 0 if counts(args.parent, args.change, args.seed) else 1
     else:
         for seed in args.seeds:
             order = LABELS if seed % 2 else LABELS[::-1]
