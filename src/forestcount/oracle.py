@@ -20,15 +20,16 @@ realizability theory of their own, and rebuilding that here would defeat
 the oracle's independence.
 
 The generator backtracks over parity-legal chord matchings (pruning by
-the earliest unused point) and over the d! cross-pairings; the validator
-re-checks every rule from scratch so the two sides stay independent.
+the earliest unused point); for each pair of matchings the only pairing
+the rules allow is the set of interleaving odd/even chord pairs, kept
+when it is a perfect pairing.  The validator re-checks every rule from
+scratch so the two sides stay independent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
 MAX_ORACLE_DEGREE = 4
 
@@ -91,8 +92,8 @@ def _matchings(points: tuple[int, ...], odd: bool,
 def enumerate_flat(d: int) -> list[ChordDiagram]:
     """All flat diagrams of degree d, one per equivalence class.
 
-    Guarded at degree 4: the search space is (4d-1)!!^2 d! before
-    pruning, and 4 already takes visible time.
+    Guarded at degree 4: before the noncrossing pruning there are (d!)^2
+    pairs of parity-legal chord matchings.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -108,27 +109,17 @@ def enumerate_flat(d: int) -> list[ChordDiagram]:
     found = []
     for odd_chords in odd_options:
         for even_chords in even_options:
-            for assignment in permutations(range(d)):
-                pairing = tuple((odd_chords[i], even_chords[assignment[i]])
-                                for i in range(d))
-                if _pairing_flat(odd_chords, even_chords, pairing):
-                    found.append(ChordDiagram(
-                        d, tuple(sorted(odd_chords)),
-                        tuple(sorted(even_chords)),
-                        tuple(sorted(pairing))))
+            # the designated pairs must be exactly the interleaving ones.
+            # A chord has an odd number of the other parity's endpoints on
+            # each side, so it crosses at least one chord; d interleaving
+            # pairs therefore pair every chord exactly once
+            pairing = [(o, e) for o in odd_chords for e in even_chords
+                       if interleave(o, e)]
+            if len(pairing) == d:
+                found.append(ChordDiagram(
+                    d, tuple(sorted(odd_chords)), tuple(sorted(even_chords)),
+                    tuple(sorted(pairing))))
     return found
-
-
-def _pairing_flat(odd_chords: tuple[Chord, ...],
-                  even_chords: tuple[Chord, ...],
-                  pairing: tuple[tuple[Chord, Chord], ...]) -> bool:
-    designated = set(pairing)
-    for o in odd_chords:
-        for e in even_chords:
-            crossing = interleave(o, e)
-            if ((o, e) in designated) != crossing:
-                return False
-    return True
 
 
 def dump_diagrams(diagrams: list[ChordDiagram]) -> str:

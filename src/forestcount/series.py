@@ -54,8 +54,6 @@ def _pack(row: Sequence[int], bps: int) -> int:
     is written in two's complement, so a negative slot also adds one to
     the slot above; subtracting that unit returns the exact sum.
     """
-    if not any(row):
-        return 0
     packed = int.from_bytes(
         b"".join([v.to_bytes(bps, "little", signed=True) for v in row]),
         "little")

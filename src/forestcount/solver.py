@@ -26,7 +26,8 @@ full box before a solution is returned.
 The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
 every weight table splits there into a prefix P of k0 - 1 terms and one
 arithmetic run weight(k) = w0 + s (k - k0), k >= k0, so that
-T(t) = P(t) + x^w0 t^k0 / (1 - x^s t) (see _tail_split).  A Newton step
+T(t) = P(t) + x^w0 t^k0 / (1 - x^s t) (see _tail_split); a table with no
+weight on the box gets a run that lies wholly outside it.  A Newton step
 then takes k0 - 1 products for powers of t and two divisions.  k0 stays
 fixed as the box grows for a rule that ends arithmetic, as both built-in
 conventions do (k0 = 1 for odd, 2 for linear); for one that never does,
@@ -109,40 +110,39 @@ class TailSplit(NamedTuple):
     s: int
 
 
-def _tail_split(weights: list[int], cmax: int,
-                dmax: int) -> TailSplit | None:
+def _tail_split(weights: list[int], cmax: int, dmax: int) -> TailSplit:
     """Split weight(1..dmax) on the box (cmax, dmax) into a prefix and a run.
 
-    K is the last k <= dmax with weight(k) <= cmax; with no such k, T = 0
-    on the box and the result is None.  The run weight(k) = w0 + s (k - k0)
-    must equal the table for k0..K, and its extension must leave the box
-    where the table does: K = dmax, or w0 + s (K+1-k0) > cmax.  A one-term
-    run with s = cmax+1 always qualifies; the longest qualifying run is
-    taken, so the prefix is as short as it can be.  Terms with k > b or
-    weight > cmax vanish on a box (cmax, b), so the split holds there for
-    every b <= dmax.  It is checked against the table before it is
-    returned.
+    K is the last k <= dmax with weight(k) <= cmax.  The run
+    weight(k) = w0 + s (k - k0) must equal the table for k0..K, and its
+    extension must leave the box where the table does: K = dmax, or
+    w0 + s (K+1-k0) > cmax.  A one-term run with s = cmax+1 always
+    qualifies; the longest qualifying run is taken, so the prefix is as
+    short as it can be.  With no such K, T = 0 on the box, and the split
+    is the empty run k0 = 1, w0 = s = cmax+1, whose terms all lie outside
+    the box.  Terms with k > b or weight > cmax vanish on a box (cmax, b),
+    so the split holds there for every b <= dmax.  It is checked against
+    the table before it is returned.
     """
     top = 0
     for k in range(1, dmax + 1):
         if weights[k] > cmax:
             break                           # weights nondecreasing
         top = k
-    if not top:
-        return None
-    k0, s = top, cmax + 1
+    k0, s = max(top, 1), cmax + 1
     if top > 1:
         step = weights[top] - weights[top - 1]
         if top == dmax or weights[top] + step > cmax:
             k0, s = top - 1, step
             while k0 > 1 and weights[k0] - weights[k0 - 1] == step:
                 k0 -= 1
-    split = TailSplit(tuple(weights[1:k0]), k0, weights[k0], s)
+    split = TailSplit(tuple(weights[1:k0]), k0,
+                      weights[k0] if top else s, s)
     _check_split(split, weights, cmax, dmax)
     return split
 
 
-def _check_split(split: TailSplit | None, weights: list[int], cmax: int,
+def _check_split(split: TailSplit, weights: list[int], cmax: int,
                  dmax: int) -> None:
     """Raise SolverError unless the split equals sum_k x^weight(k) y^k,
     built from the table, exponent by exponent on the box (cmax, dmax).
@@ -153,12 +153,10 @@ def _check_split(split: TailSplit | None, weights: list[int], cmax: int,
     """
     table = Counter((w, k) for k, w in enumerate(weights[1:dmax + 1], 1)
                     if w <= cmax)
-    expanded = Counter()
-    if split is not None:
-        prefix, k0, w0, s = split
-        terms = [*enumerate(prefix, 1),
-                 *((k, w0 + s * (k - k0)) for k in range(k0, dmax + 1))]
-        expanded.update((w, k) for k, w in terms if k <= dmax and w <= cmax)
+    prefix, k0, w0, s = split
+    terms = [*enumerate(prefix, 1),
+             *((k, w0 + s * (k - k0)) for k in range(k0, dmax + 1))]
+    expanded = Counter((w, k) for k, w in terms if k <= dmax and w <= cmax)
     if expanded != table:
         raise SolverError(f"tail split {split} does not match the weight "
                           f"table on the box ({cmax},{dmax})")
@@ -211,7 +209,7 @@ class SystemSolution:
 
 
 def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
-                   split: TailSplit | None) -> bool:
+                   split: TailSplit) -> bool:
     """Whether n2 = n1 + n2 T(v) holds on the box, for v = y n2^4 n3.
 
     With L = n2 - n1 - n2 P(v), the equation multiplied through by
@@ -220,10 +218,7 @@ def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
     time, k0 products in all.  Since 1 - x^s v has constant term 1, the
     cleared form holds exactly when the equation does; it has no
     division, so it is a different computation from the Newton step's.
-    With no tail on the box it reads n2 = n1.
     """
-    if split is None:
-        return n2 == n1
     lhs, vkn2 = n2 - n1, n2                 # vkn2 = v^k n2
     for w in split.prefix:
         vkn2 = v * vkn2
@@ -259,7 +254,7 @@ def _newton(step, cmax: int, dmax: int) -> BiSeries:
     return z
 
 
-def _system_step(split: TailSplit | None):
+def _system_step(split: TailSplit):
     """The Newton step for z = n2, for the tail split of the weight table.
 
     With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
@@ -280,17 +275,14 @@ def _system_step(split: TailSplit | None):
         a = (z2 * z2).pad(b).shift(0, 1)
         n1 = BiSeries.one(cmax, b) + a
         t = z - z.divide(n1)
-        tt = BiSeries.zero(cmax, b)         # T(t)
-        kt = BiSeries.zero(cmax, e)         # K(t)
-        if split is not None:
-            terms, tk0 = _prefix_powers(t, split)
-            den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
-            run = tk0.shift(split.w0, 0).divide(den)
-            tt = sum(terms, run)
-            run_e = run.crop(cmax, e)
-            kt = run_e.scale(split.k0 - 1) + run_e.divide(den.crop(cmax, e))
-            for k, term in enumerate(terms, 1):
-                kt = kt + term.crop(cmax, e).scale(k)
+        terms, tk0 = _prefix_powers(t, split)
+        den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
+        run = tk0.shift(split.w0, 0).divide(den)
+        tt = sum(terms, run)                # T(t)
+        run_e = run.crop(cmax, e)
+        kt = run_e.scale(split.k0 - 1) + run_e.divide(den.crop(cmax, e))
+        for k, term in enumerate(terms, 1):
+            kt = kt + term.crop(cmax, e).scale(k)
         g = n1 + z * tt
         r = a.crop(cmax, e).divide(n1.crop(cmax, e))
         five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)

@@ -31,7 +31,7 @@ from .formulas import (asymptotic_ratio, codim1_count, flat_count,
                        fuss_convolution, simple_count)
 from .oracle import enumerate_flat, validate_diagram
 from .series import BiSeries
-from .solver import cached_solution, solve_simple
+from .solver import CONVENTIONS, cached_solution, solve_simple
 
 REPORT_SCHEMA = "verify-report@1"
 
@@ -349,7 +349,7 @@ def _row_check(check: str, c: int, closed_form, dmax: int) -> dict:
     route and the closed form."""
     routes = {"closed-form": [closed_form(d) for d in range(dmax + 1)],
               "dp": dp_table(c, dmax)[c]}
-    for name in ("odd", "linear"):
+    for name in CONVENTIONS:
         n1 = cached_solution(name, c, dmax).n1
         routes[f"solver[{name}]"] = [n1.coeff(c, d) for d in range(dmax + 1)]
     reference = routes["closed-form"]
@@ -399,7 +399,7 @@ def check_support_bound(cmax: int = 40, dmax: int = 20) -> dict:
     """n1(c, d) = 0 whenever c >= 2d (except the empty configuration at
     (0,0)), on every route."""
     routes = {f"solver[{name}]": cached_solution(name, cmax, dmax).n1.coeff
-              for name in ("odd", "linear")}
+              for name in CONVENTIONS}
     routes["dp"] = dp_count
     bad = [[route, c, d] for route, count in routes.items()
            for c in range(cmax + 1) for d in range(dmax + 1)

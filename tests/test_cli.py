@@ -159,6 +159,13 @@ def test_oracle_dump(tmp_path, capsys):
     assert len(doc) == 4
 
 
+def test_oracle_dump_to_unwritable_path_is_an_error(tmp_path, capsys):
+    code = main(["oracle", "--degree", "2",
+                 "--dump", str(tmp_path / "missing" / "diagrams.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_only_growth_constant(capsys):
     code, out = run(capsys, "verify", "--only", "growth-constant")
     assert code == 0
@@ -235,6 +242,13 @@ def test_verify_artifact_written(tmp_path, capsys):
     assert doc["dp_matches_conventions"] == ["odd"]
 
 
+def test_verify_artifact_to_unwritable_path_is_an_error(tmp_path, capsys):
+    code = main(["verify", "--only", "cross-routes", "--cross-cmax", "5",
+                 "--cross-dmax", "6", "--artifact", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_artifact_dash_writes_stdout(tmp_path, monkeypatch, capsys):
     # '-' means standard output, as for --output and oracle --dump
     monkeypatch.chdir(tmp_path)
@@ -257,3 +271,12 @@ def test_output_file(tmp_path, capsys):
                  "--convention", "odd", "--output", str(target)])
     assert code == 0
     assert "0,1,1,4" in target.read_text()
+
+
+def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):
+    # a missing directory and a directory in place of a file
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code = main(["count", "--codim", "1", "--degree", "2",
+                     "--output", str(target)])
+        assert code == 1, target
+        assert capsys.readouterr().err.startswith("error: "), target

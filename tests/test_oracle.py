@@ -1,10 +1,11 @@
 import json
+from itertools import permutations
 
 import pytest
 
 from forestcount.formulas import flat_count
-from forestcount.oracle import (ChordDiagram, dump_diagrams, enumerate_flat,
-                                interleave, validate_diagram)
+from forestcount.oracle import (ChordDiagram, _matchings, dump_diagrams,
+                                enumerate_flat, interleave, validate_diagram)
 
 
 def cross(*pairs):
@@ -42,6 +43,38 @@ def test_counts_match_closed_form(d):
 @pytest.mark.slow
 def test_degree_four_count():
     assert len(enumerate_flat(4)) == flat_count(4) == 140
+
+
+def search_every_pairing(d):
+    """The generator as first written: every pair of chord matchings with
+    every one of the d! bijections from odd to even chords, kept when its
+    designated pairs are exactly the interleaving ones."""
+    points = range(4 * d)
+    odd_options = _matchings(tuple(p for p in points if p % 2 == 0), True, [])
+    even_options = _matchings(tuple(p for p in points if p % 2 == 1),
+                              False, [])
+    found = []
+    for odd_chords in odd_options:
+        for even_chords in even_options:
+            for assignment in permutations(range(d)):
+                pairing = {(odd_chords[i], even_chords[assignment[i]])
+                           for i in range(d)}
+                if all(((o, e) in pairing) == interleave(o, e)
+                       for o in odd_chords for e in even_chords):
+                    found.append(ChordDiagram(
+                        d, tuple(sorted(odd_chords)),
+                        tuple(sorted(even_chords)), tuple(sorted(pairing))))
+    return found
+
+
+def test_generator_equals_the_search_over_every_pairing():
+    for d in range(4):
+        assert enumerate_flat(d) == search_every_pairing(d), d
+
+
+@pytest.mark.slow
+def test_generator_equals_the_search_over_every_pairing_at_degree_four():
+    assert enumerate_flat(4) == search_every_pairing(4)
 
 
 def test_generated_diagrams_all_validate():

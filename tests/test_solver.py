@@ -214,8 +214,6 @@ def test_newton_follows_the_halving_ladder():
 def cleared_form(n1, n2, v, split):
     """The meeting-point equation as first cleared for the gate,
     (n2 - n1 - n2 P(v)) (1 - x^s v) = x^w0 v^k0 n2."""
-    if split is None:
-        return n2 == n1
     one = BiSeries.one(n2.cmax, n2.dmax)
     prefix, vk = BiSeries.zero(n2.cmax, n2.dmax), one
     for w in split.prefix:
@@ -227,33 +225,42 @@ def cleared_form(n1, n2, v, split):
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_weighted_tail_matches_the_cleared_form(conv):
-    sol = solve_system(conv, 8, 8)
-    one = BiSeries.one(8, 8)
-    split = _tail_split(conv.table(8), 8, 8)
-    bumps = [(8, 8), (0, 8), (0, 1), (conv.weight(1), 1), (3, 4)]
-    for bump in [None, *bumps]:
-        n2 = sol.n2 + BiSeries.monomial(8, 8, *bump) if bump else sol.n2
-        n1 = one + (n2 ** 4).shift(0, 1)
-        v = ((n2 ** 4) * n2.divide(n1)).shift(0, 1)
-        # with n1 and v rebuilt from n2, and with the solution's own
-        for args in ((n1, n2, v, split), (sol.n1, n2, sol.n2 - sol.n3, split)):
-            verdict = _weighted_tail(*args)
-            assert verdict == cleared_form(*args), bump
-            assert verdict == (bump is None), bump
+    # on the (0,8) box no weight fits, so the split is the empty run
+    for cmax in (8, 0):
+        sol = solve_system(conv, cmax, 8)
+        one = BiSeries.one(cmax, 8)
+        split = _tail_split(conv.table(8), cmax, 8)
+        bumps = [(c, d) for c, d in ((8, 8), (0, 8), (0, 1),
+                                     (conv.weight(1), 1), (3, 4))
+                 if c <= cmax]
+        for bump in [None, *bumps]:
+            n2 = (sol.n2 + BiSeries.monomial(cmax, 8, *bump) if bump
+                  else sol.n2)
+            n1 = one + (n2 ** 4).shift(0, 1)
+            v = ((n2 ** 4) * n2.divide(n1)).shift(0, 1)
+            # with n1 and v rebuilt from n2, and with the solution's own
+            for args in ((n1, n2, v, split),
+                         (sol.n1, n2, sol.n2 - sol.n3, split)):
+                verdict = _weighted_tail(*args)
+                assert verdict == cleared_form(*args), (cmax, bump)
+                assert verdict == (bump is None), (cmax, bump)
 
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_meeting_point_gate_rejects_every_bump(conv):
     # n1 and n3 are rebuilt from the bumped n2, so the first two equations
     # hold and only the meeting-point equation can fail
-    sol = solve_system(conv, 8, 8)
-    one = BiSeries.one(8, 8)
-    for c, d in ((8, 8), (0, 1), (conv.weight(1), 1)):
-        n2 = sol.n2 + BiSeries.monomial(8, 8, c, d)
-        n1 = one + (n2 ** 4).shift(0, 1)
-        bad = dataclasses.replace(sol, n1=n1, n2=n2, n3=n2.divide(n1))
-        with pytest.raises(SolverError, match="meeting-point"):
-            bad.verify()
+    for cmax in (8, 0):
+        sol = solve_system(conv, cmax, 8)
+        one = BiSeries.one(cmax, 8)
+        for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
+            if c > cmax:
+                continue
+            n2 = sol.n2 + BiSeries.monomial(cmax, 8, c, d)
+            n1 = one + (n2 ** 4).shift(0, 1)
+            bad = dataclasses.replace(sol, n1=n1, n2=n2, n3=n2.divide(n1))
+            with pytest.raises(SolverError, match="meeting-point"):
+                bad.verify()
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +285,10 @@ def test_tail_split_expands_to_the_weight_table(weights, cmax, dmax):
     weights = weights[:dmax + 1]
     split = _tail_split(weights, cmax, dmax)
     table = {(w, k) for k, w in enumerate(weights) if k and w <= cmax}
-    expanded = set()
-    if split is not None:
-        prefix, k0, w0, s = split
-        expanded = {(w, k) for k, w in enumerate(prefix, 1)}
-        expanded |= {(w0 + s * (k - k0), k) for k in range(k0, dmax + 1)
-                     if w0 + s * (k - k0) <= cmax}
+    prefix, k0, w0, s = split
+    expanded = {(w, k) for k, w in enumerate(prefix, 1)}
+    expanded |= {(w0 + s * (k - k0), k) for k in range(k0, dmax + 1)
+                 if w0 + s * (k - k0) <= cmax}
     assert expanded == table
     # the Newton steps use the split on every shorter box too
     for b in range(dmax + 1):
@@ -295,13 +300,16 @@ def test_tampered_tail_split_is_rejected():
     split = _tail_split(weights, 12, 10)
     assert split == TailSplit((1,), 2, 3, 1)
     for bad in (split._replace(s=2), split._replace(w0=4),
-                split._replace(prefix=()), None):
+                split._replace(prefix=()), TailSplit((), 1, 13, 13)):
         with pytest.raises(SolverError, match="tail split"):
             _check_split(bad, weights, 12, 10)
     odd = ODD.table(10)
     assert _tail_split(odd, 12, 10) == TailSplit((), 1, 1, 2)
     with pytest.raises(SolverError, match="tail split"):
         _check_split(TailSplit((), 1, 1, 3), odd, 12, 10)
+    # no weight fits the box: the empty run, whose one term x^8 t lies outside
+    assert _tail_split(ODD.table(0), 7, 0) == TailSplit((), 1, 8, 8)
+    assert _tail_split(odd, 0, 10) == TailSplit((), 1, 1, 1)
 
 
 # a run that starts late, and a first weight far below the rest

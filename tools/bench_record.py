@@ -4,6 +4,7 @@
         --workload deep-table --seeds 51-60 --out BENCH_6.json
     python3 tools/bench_record.py summary BENCH_6.json
     python3 tools/bench_record.py counts --parent DIR --change DIR --seed 11
+    python3 tools/bench_record.py digests --parent DIR --change DIR
 
 Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0` inside the checkout, S being run_seconds in this repository's
@@ -33,6 +34,18 @@ is `count` or `bit`, marking DIFFERS where the two checkouts disagree.
 These counts repeat exactly from run to run, so one run per side
 suffices; it exits 1 if a run's outputs were wrong.
 
+`digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
+and the checkout as working directory, and prints side by side what a
+change that keeps every count and report must keep: the SHA-256 of the
+n1/n2/n3 rows for odd and linear at (64,32), (40,20) and (0,30), for
+odd (30,60) and of solve_simple(20,40); the exit code and SHA-256 of
+the default `forestcount verify --format jsonl`; whether
+`verify --only cross-routes --artifact -` writes the checkout's
+committed route_agreement.json; and the exit code and SHA-256 of
+`oracle --degree d --dump -` for d = 0..4.  Digests are shown by their
+first 16 hex digits.  It marks each line where the checkouts differ with
+DIFFERS and exits 1 if any does.
+
 Standard library only.
 """
 
@@ -41,6 +54,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -168,6 +182,64 @@ def counts(parent: Path, change: Path, seed: int) -> bool:
     return correct
 
 
+DIGEST_CHILD = r"""
+import contextlib, hashlib, io, json, pathlib
+from forestcount.cli import main
+from forestcount.solver import solve_simple, solve_system
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+def rows(*series):
+    return sha(json.dumps([s.grid() for s in series]))
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+lines = {}
+boxes = [(conv, cmax, dmax) for conv in ("odd", "linear")
+         for cmax, dmax in ((64, 32), (40, 20), (0, 30))]
+for conv, cmax, dmax in boxes + [("odd", 30, 60)]:
+    sol = solve_system(conv, cmax, dmax)
+    lines[f"{conv} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
+lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
+code, out = cli("verify", "--format", "jsonl")
+lines["verify --format jsonl"] = f"exit {code} {sha(out)}"
+code, out = cli("verify", "--only", "cross-routes", "--format", "jsonl",
+                "--artifact", "-")
+artifact = json.loads(out.split("\n", 1)[1])
+committed = json.loads(pathlib.Path("route_agreement.json").read_text())
+lines["cross-routes --artifact -"] = (
+    f"exit {code} {'committed' if artifact == committed else 'other'}")
+for d in range(5):
+    code, out = cli("oracle", "--degree", str(d), "--dump", "-")
+    lines[f"oracle --degree {d} --dump -"] = f"exit {code} {sha(out)}"
+print(json.dumps(lines))
+"""
+
+
+def digests(parent: Path, change: Path) -> bool:
+    """Print both checkouts' output digests side by side; return whether
+    they all agree."""
+    sides = []
+    for checkout in (parent.resolve(), change.resolve()):
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+        out = subprocess.run([sys.executable, "-c", DIGEST_CHILD],
+                             cwd=checkout, env=env, check=True, text=True,
+                             stdout=subprocess.PIPE).stdout
+        sides.append(json.loads(out.strip().splitlines()[-1]))
+    same = True
+    print(f"{'output':32} {'parent':>24} {'change':>24}")
+    for name, p in sides[0].items():
+        c = sides[1][name]
+        same = same and p == c
+        print(f"{name:32} {p:>24} {c:>24}" + ("  DIFFERS" if p != c else ""))
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -183,12 +255,17 @@ def main(argv=None) -> int:
     count.add_argument("--parent", type=Path, required=True)
     count.add_argument("--change", type=Path, required=True)
     count.add_argument("--seed", type=int, required=True)
+    digest = sub.add_parser("digests")
+    digest.add_argument("--parent", type=Path, required=True)
+    digest.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
 
     if args.cmd == "summary":
         summary(args.path)
     elif args.cmd == "counts":
         return 0 if counts(args.parent, args.change, args.seed) else 1
+    elif args.cmd == "digests":
+        return 0 if digests(args.parent, args.change) else 1
     else:
         for seed in args.seeds:
             order = LABELS if seed % 2 else LABELS[::-1]
