@@ -264,6 +264,9 @@ def cmd_verify(args) -> int:
             _guard_oracle(kwargs["max_degree"])
         elif kwargs:
             _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
+    if args.artifact and args.artifact != "-":
+        # a path that cannot be written fails here, before any check runs
+        open(args.artifact, "w", encoding="utf-8").close()
     reports = run_suite(only=args.only, overrides=overrides)
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]

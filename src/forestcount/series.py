@@ -23,29 +23,38 @@ slot as a two's-complement value.  Slots are sized row by row: output
 row d sums a_i * b_{d-i}, and its slots are sized from the widest pair
 of nonzero rows that meet there, in whole bytes rounded up to a power of
 two.  Coefficients grow with the degree, so low rows use narrow slots
-and only the top rows pay for the widest; an operand row is packed once
-for each of the few widths that use it.  A quotient feeds its own rows
-back into the loop as they are produced; row d reads only the rows
-before it, whose sizes are already known, so no row is ever packed
-again.  A denominator whose row 0 has x terms, D0(x), is first reduced
-to row 0 = 1 by multiplying both sides by 1/D0(x), the quotient of the
-transposed one-row series.  That keeps the dominant cost inside
-CPython's big-int multiply rather than Python-level loops, which is what
-makes the large verification boxes affordable.  A plain nested-loop
-product (`mul_reference`) is kept alongside and is cross-checked against
-the packed product by the test suite.
+and only the top rows pay for the widest.  Packing is memoised by row
+content and width (`_pack`, at most PACK_MEMO_SIZE entries), so a row
+that meets the same width again, in this product or a later one, is not
+packed again.  A square sums each unordered pair of rows once (`_mac`).
+A quotient feeds its own rows back into the loop as they are produced;
+row d reads only the rows before it, whose sizes are already known.  A
+denominator whose row 0 has x terms, D0(x), is first reduced to row 0 =
+1 by multiplying both sides by 1/D0(x), the quotient of the transposed
+one-row series.  That keeps the dominant cost inside CPython's big-int
+multiply rather than Python-level loops, which is what makes the large
+verification boxes affordable.  A plain nested-loop product
+(`mul_reference`) is kept alongside and is cross-checked against the
+packed product by the test suite.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+# Packed rows kept by `_pack`, least recently used evicted first.  An
+# odd (64,32) solve packs 919 distinct (row, width) pairs and a linear
+# one 1,044; larger boxes evict during the solve.
+PACK_MEMO_SIZE = 1024
 
 
 class BoxMismatchError(ValueError):
     """Two series with different truncation boxes were combined."""
 
 
-def _pack(row: Sequence[int], bps: int) -> int:
+@lru_cache(maxsize=PACK_MEMO_SIZE)
+def _pack(row: tuple[int, ...], bps: int) -> int:
     """Pack a row into the signed slot integer sum_c row[c] * 2**(8*bps*c).
 
     Slot c occupies bytes [c*bps, (c+1)*bps) little-endian; callers size
@@ -53,6 +62,10 @@ def _pack(row: Sequence[int], bps: int) -> int:
     accumulation stays below 2**(8*bps-1) in absolute value.  Each slot
     is written in two's complement, so a negative slot also adds one to
     the slot above; subtracting that unit returns the exact sum.
+
+    Memoised by value, so equal rows share one packing per width even
+    when they are different tuples (each Newton step rebuilds its low
+    rows); hashing a row costs a small fraction of packing it.
     """
     packed = int.from_bytes(
         b"".join([v.to_bytes(bps, "little", signed=True) for v in row]),
@@ -70,8 +83,25 @@ def _bias(nslots: int, bps: int) -> int:
 
 
 def _mac(pa: list[int], pb: list[int], lo: int, d: int) -> int:
-    """sum_{i=lo..d} pa[i] * pb[d-i] over packed rows, zero rows skipped."""
+    """sum_{i=lo..d} pa[i] * pb[d-i] over packed rows, zero rows skipped.
+
+    A square (pa is pb, lo = 0) sums each pair i < d-i once, doubles the
+    sum and adds the middle row's square: about half the multiplies.
+    """
     acc = 0
+    if pa is pb and lo == 0:
+        for i in range((d + 1) // 2):
+            a = pa[i]
+            if a:
+                b = pa[d - i]
+                if b:
+                    acc += a * b
+        acc <<= 1
+        if not d & 1:
+            m = pa[d // 2]
+            if m:
+                acc += m * m
+        return acc
     for i in range(lo, d + 1):
         a = pa[i]
         if a:
@@ -99,7 +129,7 @@ def _row_bits(rows: Sequence[Sequence[int]]) -> list[int]:
     return [max(map(abs, r)).bit_length() for r in rows]
 
 
-def _convolve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
               lo: int, dbound: int) -> Iterator[tuple[int, ...]]:
     """Yield the rows sum_{i=lo..d} a[i] * b[d-i] for d = 0..dbound.
 
@@ -111,10 +141,12 @@ def _convolve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     rows nonzero, plus the bits of nslots * (d+1), the most slot products
     one slot can sum, plus a sign bit, in whole bytes rounded up to a
     power of two.  Each such width class keeps its own packed rows and
-    bias; a row is packed into a class the first time it meets a nonzero
-    row there, so it is packed at most once per class and never again.
-    A row with no nonzero pair, or whose sum is zero, is a shared zero
-    tuple.
+    bias; a row enters a class the first time it meets a nonzero row
+    there, through the `_pack` memo, which also serves the rows that
+    earlier products already packed at that width.  A product of a
+    series with itself (b is a) shares one list per class, and `_mac`
+    takes it as a square.  A row with no nonzero pair, or whose sum is
+    zero, is a shared zero tuple.
     """
     nslots = len(a[0])
     zero_row = (0,) * nslots

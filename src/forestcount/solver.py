@@ -20,8 +20,10 @@ y-degrees (Brent and Kung, J. ACM 25(4), 1978).  The steps follow the
 halving ladder ceil((dmax+1) / 2^j) upwards (von zur Gathen and Gerhard,
 Modern Computer Algebra, section 9), so dmax.bit_length() steps reach the
 box, each works on the box of the rows it makes exact, and only the last
-works on the full box.  The defining equations are re-verified on the
-full box before a solution is returned.
+works on the full box.  n1 = 1 + y n2^4 and n3 = n2 / n1 are then built
+once on the full box, and the other two equations and nonnegativity are
+checked there before a solution is returned (see _check_solved);
+SystemSolution.verify rebuilds n1 as well and checks all three.
 
 The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
 every weight table splits there into a prefix P of k0 - 1 terms and one
@@ -192,20 +194,32 @@ class SystemSolution:
     def verify(self) -> None:
         """Re-check the three defining equations and nonnegativity."""
         cmax, dmax = self.box
-        one = BiSeries.one(cmax, dmax)
         split = _tail_split(self.convention.table(dmax), cmax, dmax)
-        if self.n1 != one + (_below(self.n2, 1) ** 4).pad(dmax).shift(0, 1):
+        if self.n1 != _n1_of(self.n2):
             raise SolverError("equation n1 = 1 + y n2^4 violated")
-        if self.n1 * self.n3 != self.n2:
-            raise SolverError("equation n2 = n1 n3 violated")
-        # truncation to the box is a ring homomorphism, so with both
-        # equations holding there, y n2^4 n3 = (n1 - 1) n3 = n2 - n3 exactly
-        v = self.n2 - self.n3
-        if not _weighted_tail(self.n1, self.n2, v, split):
-            raise SolverError("meeting-point equation for n2 violated")
-        for name, s in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
-            if s.min_coefficient() < 0:
-                raise NegativeCoefficientError(f"negative coefficient in {name}")
+        _check_solved(self.n1, self.n2, self.n3, split)
+
+
+def _n1_of(n2: BiSeries) -> BiSeries:
+    """n1 = 1 + y n2^4 on n2's box."""
+    cmax, dmax = n2.box()
+    return BiSeries.one(cmax, dmax) + (_below(n2, 1) ** 4).pad(dmax).shift(0, 1)
+
+
+def _check_solved(n1: BiSeries, n2: BiSeries, n3: BiSeries,
+                  split: TailSplit) -> None:
+    """Raise SolverError unless n2 = n1 n3, the meeting-point equation
+    and nonnegativity hold on the box, for an n1 = 1 + y n2^4 taken as
+    given: solve_system built it, and verify() has just compared it."""
+    if n1 * n3 != n2:
+        raise SolverError("equation n2 = n1 n3 violated")
+    # truncation to the box is a ring homomorphism, so with both
+    # equations holding there, y n2^4 n3 = (n1 - 1) n3 = n2 - n3 exactly
+    if not _weighted_tail(n1, n2, n2 - n3, split):
+        raise SolverError("meeting-point equation for n2 violated")
+    for name, s in (("n1", n1), ("n2", n2), ("n3", n3)):
+        if s.min_coefficient() < 0:
+            raise NegativeCoefficientError(f"negative coefficient in {name}")
 
 
 def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
@@ -299,20 +313,21 @@ def solve_system(convention: str | CodimWeight, cmax: int,
 
     n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
     then n1 = 1 + y n2^4 and n3 = n2 / n1 on the full box.  Returns the
-    unique solution with nonnegative coefficients, always re-checked by
-    SystemSolution.verify, which raises NegativeCoefficientError if any
-    count comes out negative.
+    unique solution with nonnegative coefficients.  n2 = n1 n3 (a
+    product, which checks the quotient), the meeting-point equation and
+    nonnegativity are always checked on the full box (_check_solved),
+    which raises NegativeCoefficientError if any count comes out
+    negative; n1 holds by construction, so it is built only once.
     """
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
     split = _tail_split(conv.table(dmax), cmax, dmax)
     n2 = _newton(_system_step(split), cmax, dmax)
-    n1 = BiSeries.one(cmax, dmax) + (_below(n2, 1) ** 4).pad(dmax).shift(0, 1)
+    n1 = _n1_of(n2)
     n3 = n2.divide(n1)
-    solution = SystemSolution(n1, n2, n3, conv, (cmax, dmax))
-    solution.verify()
-    return solution
+    _check_solved(n1, n2, n3, split)
+    return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
 
 
 def _simple_g(z4: BiSeries, dmax: int) -> BiSeries:

@@ -4,8 +4,9 @@ from itertools import permutations
 import pytest
 
 from forestcount.formulas import flat_count
-from forestcount.oracle import (ChordDiagram, _matchings, dump_diagrams,
-                                enumerate_flat, interleave, validate_diagram)
+from forestcount.oracle import (MAX_ORACLE_DEGREE, ChordDiagram, _matchings,
+                                dump_diagrams, enumerate_flat, interleave,
+                                validate_diagram)
 
 
 def cross(*pairs):
@@ -92,7 +93,7 @@ def test_generated_diagrams_duplicate_free():
 
 def test_degree_guard():
     with pytest.raises(ValueError):
-        enumerate_flat(5)
+        enumerate_flat(MAX_ORACLE_DEGREE + 1)
     with pytest.raises(ValueError):
         enumerate_flat(-1)
 

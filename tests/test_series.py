@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from forestcount.series import BiSeries, BoxMismatchError, mul_reference
+from forestcount.series import (PACK_MEMO_SIZE, BiSeries, BoxMismatchError,
+                                _bias, _mac, _pack, _unpack, mul_reference)
 
 
 def series_from(cmax, dmax, terms):
@@ -329,6 +330,90 @@ def test_bounded_rows_match_full_result(triple, unit):
     for k in (-1, -2, -a.dmax - 3):
         assert a._mul_bounded(b, k) == zero
         assert a._divide_bounded(den, k) == zero
+
+
+# ----------------------------------------------------------------------
+# the packed kernel: squares in _mac, the _pack memo
+# ----------------------------------------------------------------------
+
+def renewed(s):
+    """s with every row a new tuple of the same values."""
+    return BiSeries(s.cmax, s.dmax, tuple(tuple(list(r)) for r in s._rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-WIDE, WIDE)),
+                min_size=1, max_size=9))
+@example([5, 7, 0, 11, 13])         # d = 4 has a zero middle row
+@example([0, 3, 0, 0, 2, 0])        # zero rows beside every middle
+@example([0, 0, 0, 0])
+def test_square_mac_equals_the_pair_sum(packed):
+    # zeros are drawn often: zero middle rows and zero partners; from
+    # lo = 1 the pairs are no longer symmetric, so no square is taken
+    for lo in (0, 1):
+        for d in range(lo, len(packed)):
+            pair_sum = sum(packed[i] * packed[d - i]
+                           for i in range(lo, d + 1))
+            assert _mac(packed, packed, lo, d) == pair_sum, (lo, d)
+            assert _mac(packed, packed[:], lo, d) == pair_sum, (lo, d)
+
+
+@st.composite
+def series_with_zero_rows(draw):
+    """A series whose drawn rows, the middle ones included, are zero."""
+    a = draw(boxed_series(max_c=4, max_d=6, bound=WIDE))
+    zeroed = draw(st.sets(st.integers(0, a.dmax)))
+    zero_row = (0,) * (a.cmax + 1)
+    return BiSeries(a.cmax, a.dmax, tuple(
+        zero_row if d in zeroed else r for d, r in enumerate(a._rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_with_zero_rows())
+def test_square_matches_general_product_and_reference(a):
+    # a * a takes the square path, a * renewed(a) the general one
+    assert a * a == a * renewed(a) == mul_reference(a, a)
+
+
+def test_one_row_packed_at_two_widths():
+    row = (5, -3, 0, 200, -1)
+    for bps in (2, 4, 2, 8, 4):
+        expected = sum(v * 2 ** (8 * bps * c) for c, v in enumerate(row))
+        for same in (row, tuple(list(row))):
+            assert _pack(same, bps) == expected, bps
+        assert _unpack(_pack(row, bps), len(row), bps,
+                       _bias(len(row), bps)) == list(row)
+
+
+def test_pack_memo_stays_bounded():
+    assert _pack.cache_info().maxsize == PACK_MEMO_SIZE
+    a = series_from(3, 5, {(c, d): (-7) ** (c + d) for c in range(4)
+                           for d in range(6)})
+    expected = mul_reference(a, a)
+    for i in range(PACK_MEMO_SIZE + 100):
+        _pack((i, -i), 4)
+        assert _pack.cache_info().currsize <= PACK_MEMO_SIZE
+        if i % 256 == 0:
+            # products stay exact while the memo evicts
+            assert a * a == expected
+    assert _pack.cache_info().currsize == PACK_MEMO_SIZE
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_triple(bound=WIDE), st.sampled_from([1, -1]))
+def test_products_and_quotients_with_a_warm_memo(triple, unit):
+    # the second round packs nothing: equal rows, even as new tuples,
+    # come from the memo
+    a, b, c = triple
+    den = with_unit(c, unit)
+    cold = (a * b, a * a, a.divide(den))
+    misses = _pack.cache_info().misses
+    a2, b2, den2 = renewed(a), renewed(b), renewed(den)
+    warm = (a2 * b2, a2 * a2, a2.divide(den2))
+    assert _pack.cache_info().misses == misses
+    assert warm == cold
+    assert cold[:2] == (mul_reference(a, b), mul_reference(a, a))
+    assert mul_reference(den, cold[2]) == a
 
 
 @settings(max_examples=40, deadline=None)

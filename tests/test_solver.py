@@ -4,6 +4,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forestcount import solver
 from forestcount.formulas import codim1_count, flat_count, simple_count
 from forestcount.series import BiSeries
 from forestcount.solver import (CONVENTIONS, LINEAR, ODD, CodimWeight,
@@ -261,6 +262,58 @@ def test_meeting_point_gate_rejects_every_bump(conv):
             bad = dataclasses.replace(sol, n1=n1, n2=n2, n3=n2.divide(n1))
             with pytest.raises(SolverError, match="meeting-point"):
                 bad.verify()
+
+
+@pytest.mark.parametrize("conv", [ODD, LINEAR], ids=["odd", "linear"])
+def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
+    # solve_system builds n1 once and does not compare it again, so the
+    # product n1 n3 is what checks its last quotient, n3 = n2 / n1
+    divide, calls = BiSeries.divide, []
+
+    def spy(num, den):
+        calls.append((num, den))
+        return divide(num, den)
+
+    monkeypatch.setattr(BiSeries, "divide", spy)
+    sol = solve_system(conv, 6, 6)
+    assert calls[-1] == (sol.n2, sol.n1)
+    last = len(calls)
+    for c, d in ((0, 0), (2, 3), (0, 6), (6, 6)):
+        bump = BiSeries.monomial(6, 6, c, d)
+        calls.clear()
+
+        def bumped(num, den):
+            calls.append((num, den))
+            q = divide(num, den)
+            return q + bump if len(calls) == last else q
+
+        monkeypatch.setattr(BiSeries, "divide", bumped)
+        with pytest.raises(SolverError, match="n2 = n1 n3"):
+            solve_system(conv, 6, 6)
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
+    # n1 and n3 are built from a bumped n2 on the solve path itself, so
+    # the first two equations hold and only the meeting-point one fails
+    newton = solver._newton
+    for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
+        bump = BiSeries.monomial(8, 8, c, d)
+        monkeypatch.setattr(
+            solver, "_newton",
+            lambda step, cmax, dmax: newton(step, cmax, dmax) + bump)
+        with pytest.raises(SolverError, match="meeting-point"):
+            solve_system(conv, 8, 8)
+
+
+def test_solve_path_rejects_another_conventions_root(monkeypatch):
+    # Newton solves under linear, the gate checks under odd: they part
+    # ways at (4, 4)
+    linear = _tail_split(LINEAR.table(6), 6, 6)
+    step = solver._system_step
+    monkeypatch.setattr(solver, "_system_step", lambda split: step(linear))
+    with pytest.raises(SolverError, match="meeting-point"):
+        solve_system(ODD, 6, 6)
 
 
 # ----------------------------------------------------------------------

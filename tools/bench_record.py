@@ -37,9 +37,10 @@ suffices; it exits 1 if a run's outputs were wrong.
 `digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
 and the checkout as working directory, and prints side by side what a
 change that keeps every count and report must keep: the SHA-256 of the
-n1/n2/n3 rows for odd and linear at (64,32), (40,20) and (0,30), for
-odd (30,60) and of solve_simple(20,40); the exit code and SHA-256 of
-the default `forestcount verify --format jsonl`; whether
+n1/n2/n3 rows for odd and linear at (64,32), (47,24), (40,20) and
+(0,30), for odd (30,60) and (120,60), where the `_pack` memo evicts
+during the solve, and of solve_simple(20,40); the exit code and SHA-256
+of the default `forestcount verify --format jsonl`; whether
 `verify --only cross-routes --artifact -` writes the checkout's
 committed route_agreement.json; and the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4.  Digests are shown by their
@@ -201,8 +202,8 @@ def cli(*argv):
 
 lines = {}
 boxes = [(conv, cmax, dmax) for conv in ("odd", "linear")
-         for cmax, dmax in ((64, 32), (40, 20), (0, 30))]
-for conv, cmax, dmax in boxes + [("odd", 30, 60)]:
+         for cmax, dmax in ((64, 32), (47, 24), (40, 20), (0, 30))]
+for conv, cmax, dmax in boxes + [("odd", 30, 60), ("odd", 120, 60)]:
     sol = solve_system(conv, cmax, dmax)
     lines[f"{conv} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
