@@ -80,6 +80,15 @@ def _guard_oracle(degree: int) -> None:
             f"oracle degree {degree} above guard {MAX_ORACLE_DEGREE}")
 
 
+def _claim(*paths: str | None) -> None:
+    """Open each output path for writing before the command's work, so a
+    path that cannot be written fails at once; None and '-' (standard
+    output) are skipped."""
+    for path in paths:
+        if path and path != "-":
+            open(path, "w", encoding="utf-8").close()
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -121,6 +130,7 @@ def _finish(args, doc, text: str, ok: bool = True) -> int:
 def cmd_count(args) -> int:
     c, d = args.codim, args.degree
     _guard_box(c, d)
+    _claim(args.output)
     values: dict[str, int] = {}
     for name in _conventions(args.convention):
         values[f"solver[{name}]"] = count_configurations(c, d, name)
@@ -143,18 +153,19 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     cmax, dmax = args.cmax, args.dmax
     _guard_box(cmax, dmax)
+    if args.route == "closed-form" and cmax > 1:
+        raise UsageError("closed-form route covers c <= 1 only")
+    _claim(args.output)
     tables: list[CountTable] = []
     if args.route == "solver":
         for name in _conventions(args.convention):
-            solution = cached_solution(name, cmax, dmax)
-            rows = [[solution.n1.coeff(c, d) for d in range(dmax + 1)]
-                    for c in range(cmax + 1)]
-            tables.append(CountTable.from_rows(rows, "n1", "solver", name))
+            # a cached solution may cover a larger box
+            n1 = cached_solution(name, cmax, dmax).n1.crop(cmax, dmax)
+            tables.append(CountTable.from_rows(n1.grid(), "n1", "solver",
+                                               name))
     elif args.route == "dp":
         tables.append(CountTable.from_rows(dp_table(cmax, dmax), "n1", "dp"))
     else:  # closed-form: only the c <= 1 rows have formulas
-        if cmax > 1:
-            raise UsageError("closed-form route covers c <= 1 only")
         rows = [[flat_count(d) for d in range(dmax + 1)]]
         if cmax == 1:
             rows.append([codim1_count(d) for d in range(dmax + 1)])
@@ -173,6 +184,7 @@ def cmd_table(args) -> int:
 def cmd_simple(args) -> int:
     cmax, dmax = args.cmax, args.dmax
     _guard_box(cmax, dmax)
+    _claim(args.output)
     closed = [[simple_count(c, d) for d in range(dmax + 1)]
               for c in range(cmax + 1)]
     n4 = solve_simple(cmax, dmax)
@@ -195,6 +207,7 @@ def cmd_asymptotics(args) -> int:
     if exact == 0:
         raise UsageError(f"no simple configurations at ({c},{d}); "
                          "need d >= max(2c, 1)")
+    _claim(args.output)
     ratio = asymptotic_ratio(exact, c, d)
     doc = {"schema": "asymptotics-report@1", "codim": c, "degree": d,
            "exact": str(exact), "estimate": asymptotic_estimate(c, d),
@@ -209,6 +222,7 @@ def cmd_asymptotics(args) -> int:
 def cmd_oracle(args) -> int:
     d = args.degree
     _guard_oracle(d)
+    _claim(args.dump, args.output)
     diagrams = enumerate_flat(d)
     expected = flat_count(d)
     if args.dump:
@@ -264,9 +278,7 @@ def cmd_verify(args) -> int:
             _guard_oracle(kwargs["max_degree"])
         elif kwargs:
             _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
-    if args.artifact and args.artifact != "-":
-        # a path that cannot be written fails here, before any check runs
-        open(args.artifact, "w", encoding="utf-8").close()
+    _claim(args.output, args.artifact)
     reports = run_suite(only=args.only, overrides=overrides)
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]

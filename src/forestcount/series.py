@@ -23,7 +23,9 @@ slot as a two's-complement value.  Slots are sized row by row: output
 row d sums a_i * b_{d-i}, and its slots are sized from the widest pair
 of nonzero rows that meet there, in whole bytes rounded up to a power of
 two.  Coefficients grow with the degree, so low rows use narrow slots
-and only the top rows pay for the widest.  Packing is memoised by row
+and only the top rows pay for the widest.  A row with slots of 1, 2, 4
+or 8 bytes converts to and from bytes in one `struct` call; only wider
+slots convert coefficient by coefficient.  Packing is memoised by row
 content and width (`_pack`, at most PACK_MEMO_SIZE entries), so a row
 that meets the same width again, in this product or a later one, is not
 packed again.  A square sums each unordered pair of rows once (`_mac`).
@@ -40,13 +42,19 @@ packed product by the test suite.
 
 from __future__ import annotations
 
+import operator
+import struct
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Sequence
 
 # Packed rows kept by `_pack`, least recently used evicted first.  An
 # odd (64,32) solve packs 919 distinct (row, width) pairs and a linear
 # one 1,044; larger boxes evict during the solve.
 PACK_MEMO_SIZE = 1024
+# `struct` format codes of the slot widths it converts in C: signed
+# little-endian integers of 1, 2, 4 and 8 bytes.
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 class BoxMismatchError(ValueError):
@@ -60,26 +68,41 @@ def _pack(row: tuple[int, ...], bps: int) -> int:
     Slot c occupies bytes [c*bps, (c+1)*bps) little-endian; callers size
     bps so that every coefficient and every slot of any product or
     accumulation stays below 2**(8*bps-1) in absolute value.  Each slot
-    is written in two's complement, so a negative slot also adds one to
-    the slot above; subtracting that unit returns the exact sum.
+    is written in two's complement, by one `struct.pack` call for slots
+    of 1, 2, 4 or 8 bytes and by `int.to_bytes` per slot for wider ones,
+    so a negative slot also adds one to the slot above.  The negative
+    slots are exactly those with their top bit set: shifted down to the
+    bottom bit of their slot, masked by `_ones` and shifted up one slot,
+    those bits are the units to subtract, all in one expression.  A
+    coefficient outside the slot's range raises (`struct.error` or
+    `OverflowError`); it never wraps.
 
     Memoised by value, so equal rows share one packing per width even
     when they are different tuples (each Newton step rebuilds its low
     rows); hashing a row costs a small fraction of packing it.
     """
-    packed = int.from_bytes(
-        b"".join([v.to_bytes(bps, "little", signed=True) for v in row]),
-        "little")
+    code = _STRUCT_CODES.get(bps)
+    if code:
+        buf = struct.pack(f"<{len(row)}{code}", *row)
+    else:
+        buf = b"".join([v.to_bytes(bps, "little", signed=True) for v in row])
+    packed = int.from_bytes(buf, "little")
     if min(row) < 0:
-        for c, v in enumerate(row):
-            if v < 0:
-                packed -= 1 << (8 * bps * (c + 1))
+        w = 8 * bps
+        packed -= ((packed >> (w - 1)) & _ones(len(row), bps)) << w
     return packed
+
+
+@lru_cache(maxsize=64)    # one mask per (slots per row, bytes per slot)
+def _ones(nslots: int, bps: int) -> int:
+    """The packed int with the bottom bit of each of the first nslots
+    slots set."""
+    return int.from_bytes((b"\x01" + bytes(bps - 1)) * nslots, "little")
 
 
 def _bias(nslots: int, bps: int) -> int:
     """The packed int with the top bit of each of the first nslots slots set."""
-    return int.from_bytes((bytes(bps - 1) + b"\x80") * nslots, "little")
+    return _ones(nslots, bps) << (8 * bps - 1)
 
 
 def _mac(pa: list[int], pb: list[int], lo: int, d: int) -> int:
@@ -116,10 +139,15 @@ def _unpack(acc: int, nslots: int, bps: int, bias: int) -> list[int]:
 
     bias = _bias(nslots, bps).  Adding it lifts every slot into
     [0, 2**(8*bps)) without carries between slots; flipping the same bits
-    back leaves each slot in two's complement, read as a signed value.
+    back leaves each slot in two's complement, read as a signed value:
+    by one `struct.unpack` call for slots of 1, 2, 4 or 8 bytes,
+    `int.from_bytes` per slot for wider ones.
     """
     low = ((acc + bias) & ((1 << (8 * bps * nslots)) - 1)) ^ bias
     buf = low.to_bytes(nslots * bps, "little")
+    code = _STRUCT_CODES.get(bps)
+    if code:
+        return list(struct.unpack(f"<{nslots}{code}", buf))
     return [int.from_bytes(buf[c * bps:(c + 1) * bps], "little", signed=True)
             for c in range(nslots)]
 
@@ -293,13 +321,13 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check_box(other)
-        rows = tuple(tuple(a + b for a, b in zip(ra, rb))
+        rows = tuple(tuple(map(operator.add, ra, rb))
                      for ra, rb in zip(self._rows, other._rows))
         return BiSeries(self.cmax, self.dmax, rows)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         self._check_box(other)
-        rows = tuple(tuple(a - b for a, b in zip(ra, rb))
+        rows = tuple(tuple(map(operator.sub, ra, rb))
                      for ra, rb in zip(self._rows, other._rows))
         return BiSeries(self.cmax, self.dmax, rows)
 
@@ -309,7 +337,8 @@ class BiSeries:
 
     def scale(self, k: int) -> "BiSeries":
         """Multiply every coefficient by the integer k."""
-        rows = tuple(tuple(k * v for v in row) for row in self._rows)
+        rows = tuple(tuple(map(operator.mul, row, repeat(k)))
+                     for row in self._rows)
         return BiSeries(self.cmax, self.dmax, rows)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -423,7 +452,9 @@ class BiSeries:
         q: list[tuple[int, ...]] = []
         sums = _convolve(den._rows[:dbound + 1], q, 1, dbound)
         for row, s in zip(self._rows, sums):
-            q.append(tuple(unit * (v - w) for v, w in zip(row, s)))
+            # unit * (row - s): the operand order carries the sign
+            q.append(tuple(map(operator.sub, row, s) if unit == 1
+                           else map(operator.sub, s, row)))
         return BiSeries(cmax, dbound, tuple(q)).pad(dmax)
 
 

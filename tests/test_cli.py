@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from forestcount import cli, solver
 from forestcount.cli import main
 from forestcount.solver import cached_solution
 from forestcount.tables import CountTable
@@ -159,11 +160,29 @@ def test_oracle_dump(tmp_path, capsys):
     assert len(doc) == 4
 
 
-def test_oracle_dump_to_unwritable_path_is_an_error(tmp_path, capsys):
+def spy_on(monkeypatch, module, name):
+    """Replace module.name by a wrapper; return the list of its calls."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_oracle_dump_to_unwritable_path_is_an_error(tmp_path, monkeypatch,
+                                                    capsys):
+    # the path is opened before the diagrams are enumerated
+    calls = spy_on(monkeypatch, cli, "enumerate_flat")
     code = main(["oracle", "--degree", "2",
                  "--dump", str(tmp_path / "missing" / "diagrams.json")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_verify_only_growth_constant(capsys):
@@ -274,6 +293,20 @@ def test_output_file(tmp_path, capsys):
                  "--convention", "odd", "--output", str(target)])
     assert code == 0
     assert "0,1,1,4" in target.read_text()
+
+
+def test_table_output_to_unwritable_path_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    # an empty cache, so any table query would reach solve_system
+    monkeypatch.setattr(solver, "_cache", {})
+    calls = spy_on(monkeypatch, solver, "solve_system")
+    code = main(["table", "--cmax", "6", "--dmax", "4", "--format", "json",
+                 "--output", str(tmp_path / "missing" / "x.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -383,6 +385,40 @@ def test_one_row_packed_at_two_widths():
             assert _pack(same, bps) == expected, bps
         assert _unpack(_pack(row, bps), len(row), bps,
                        _bias(len(row), bps)) == list(row)
+
+
+def extreme_rows(top):
+    """Rows of 1, 3 and 6 slots: all +top, all -top, all -1, and each
+    position holding the sign opposite to the rest."""
+    for n in (1, 3, 6):
+        yield (top,) * n
+        yield (-top,) * n
+        yield (-1,) * n
+        for p in range(n):
+            for v in (top, -top):
+                yield tuple(v if c == p else -v for c in range(n))
+
+
+@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 32])
+def test_pack_round_trip_at_every_width(bps):
+    # 1, 2, 4 and 8 bytes convert through struct, 16 and 32 per slot;
+    # +-(2**(8*bps-1) - 1) is the widest coefficient a slot holds
+    top = 2 ** (8 * bps - 1) - 1
+    for row in extreme_rows(top):
+        packed = _pack(row, bps)
+        assert packed == sum(v * 2 ** (8 * bps * c)
+                             for c, v in enumerate(row)), row
+        assert _unpack(packed, len(row), bps,
+                       _bias(len(row), bps)) == list(row), row
+
+
+@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 32])
+def test_pack_rejects_coefficients_outside_the_slot(bps):
+    # a coefficient that does not fit raises; it never wraps
+    for v in (2 ** (8 * bps - 1), -2 ** (8 * bps - 1) - 1, 2 ** (8 * bps)):
+        for row in ((v,), (0, v, -1), (-1, 1, v)):
+            with pytest.raises((struct.error, OverflowError)):
+                _pack(row, bps)
 
 
 def test_pack_memo_stays_bounded():

@@ -39,8 +39,10 @@ and the checkout as working directory, and prints side by side what a
 change that keeps every count and report must keep: the SHA-256 of the
 n1/n2/n3 rows for odd and linear at (64,32), (47,24), (40,20) and
 (0,30), for odd (30,60) and (120,60), where the `_pack` memo evicts
-during the solve, and of solve_simple(20,40); the exit code and SHA-256
-of the default `forestcount verify --format jsonl`; whether
+during the solve, for weight(k) = k^2 at (40,20), a rule that never
+becomes arithmetic and so makes the most products per Newton step, and
+of solve_simple(20,40); the exit code and SHA-256 of the default
+`forestcount verify --format jsonl`; whether
 `verify --only cross-routes --artifact -` writes the checkout's
 committed route_agreement.json; and the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4.  Digests are shown by their
@@ -186,7 +188,7 @@ def counts(parent: Path, change: Path, seed: int) -> bool:
 DIGEST_CHILD = r"""
 import contextlib, hashlib, io, json, pathlib
 from forestcount.cli import main
-from forestcount.solver import solve_simple, solve_system
+from forestcount.solver import CodimWeight, solve_simple, solve_system
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -206,6 +208,8 @@ boxes = [(conv, cmax, dmax) for conv in ("odd", "linear")
 for conv, cmax, dmax in boxes + [("odd", 30, 60), ("odd", 120, 60)]:
     sol = solve_system(conv, cmax, dmax)
     lines[f"{conv} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
+sol = solve_system(CodimWeight("square", lambda k: k * k), 40, 20)
+lines["k^2 (40,20) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
 code, out = cli("verify", "--format", "jsonl")
 lines["verify --format jsonl"] = f"exit {code} {sha(out)}"
