@@ -83,10 +83,15 @@ def _guard_oracle(degree: int) -> None:
 def _claim(*paths: str | None) -> None:
     """Open each output path for writing before the command's work, so a
     path that cannot be written fails at once; None and '-' (standard
-    output) are skipped."""
+    output) are skipped.  Two paths that name one file are a usage error,
+    raised before either is truncated: one output would overwrite the
+    other."""
+    paths = [p for p in paths if p and p != "-"]
+    files = [os.path.realpath(p) for p in paths]
+    if len(set(files)) < len(files):
+        raise UsageError(f"two outputs name the same file: {files[0]}")
     for path in paths:
-        if path and path != "-":
-            open(path, "w", encoding="utf-8").close()
+        open(path, "w", encoding="utf-8").close()
 
 
 def _nonneg(text: str) -> int:

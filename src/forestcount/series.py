@@ -28,7 +28,7 @@ or 8 bytes converts to and from bytes in one `struct` call; only wider
 slots convert coefficient by coefficient.  Packing is memoised by row
 content and width (`_pack`, at most PACK_MEMO_SIZE entries), so a row
 that meets the same width again, in this product or a later one, is not
-packed again.  A square sums each unordered pair of rows once (`_mac`).
+packed again.  A square multiplies each unordered pair of rows once.
 A quotient feeds its own rows back into the loop as they are produced;
 row d reads only the rows before it, whose sizes are already known.  A
 denominator whose row 0 has x terms, D0(x), is first reduced to row 0 =
@@ -100,49 +100,16 @@ def _ones(nslots: int, bps: int) -> int:
     return int.from_bytes((b"\x01" + bytes(bps - 1)) * nslots, "little")
 
 
-def _bias(nslots: int, bps: int) -> int:
-    """The packed int with the top bit of each of the first nslots slots set."""
-    return _ones(nslots, bps) << (8 * bps - 1)
-
-
-def _mac(pa: list[int], pb: list[int], lo: int, d: int) -> int:
-    """sum_{i=lo..d} pa[i] * pb[d-i] over packed rows, zero rows skipped.
-
-    A square (pa is pb, lo = 0) sums each pair i < d-i once, doubles the
-    sum and adds the middle row's square: about half the multiplies.
-    """
-    acc = 0
-    if pa is pb and lo == 0:
-        for i in range((d + 1) // 2):
-            a = pa[i]
-            if a:
-                b = pa[d - i]
-                if b:
-                    acc += a * b
-        acc <<= 1
-        if not d & 1:
-            m = pa[d // 2]
-            if m:
-                acc += m * m
-        return acc
-    for i in range(lo, d + 1):
-        a = pa[i]
-        if a:
-            b = pb[d - i]
-            if b:
-                acc += a * b
-    return acc
-
-
-def _unpack(acc: int, nslots: int, bps: int, bias: int) -> list[int]:
+def _unpack(acc: int, nslots: int, bps: int) -> list[int]:
     """Read the first nslots signed slots of a packed int.
 
-    bias = _bias(nslots, bps).  Adding it lifts every slot into
+    Adding the bias, the top bit of each slot, lifts every slot into
     [0, 2**(8*bps)) without carries between slots; flipping the same bits
     back leaves each slot in two's complement, read as a signed value:
     by one `struct.unpack` call for slots of 1, 2, 4 or 8 bytes,
     `int.from_bytes` per slot for wider ones.
     """
+    bias = _ones(nslots, bps) << (8 * bps - 1)
     low = ((acc + bias) & ((1 << (8 * bps * nslots)) - 1)) ^ bias
     buf = low.to_bytes(nslots * bps, "little")
     code = _STRUCT_CODES.get(bps)
@@ -168,25 +135,28 @@ def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
     in it: the largest bits(a_i) + bits(b_{d-i}) over the pairs with both
     rows nonzero, plus the bits of nslots * (d+1), the most slot products
     one slot can sum, plus a sign bit, in whole bytes rounded up to a
-    power of two.  Each such width class keeps its own packed rows and
-    bias; a row enters a class the first time it meets a nonzero row
-    there, through the `_pack` memo, which also serves the rows that
-    earlier products already packed at that width.  A product of a
-    series with itself (b is a) shares one list per class, and `_mac`
-    takes it as a square.  A row with no nonzero pair, or whose sum is
-    zero, is a shared zero tuple.
+    power of two.  Each such width class keeps its own packed rows; a
+    row enters a class the first time it meets a nonzero row there,
+    through the `_pack` memo, which also serves the rows that earlier
+    products already packed at that width, and each pair is multiplied
+    as soon as its rows are packed.  A product of a series with itself
+    (b is a) is a square: it shares one list per class, lists only the
+    pairs i <= d-i and doubles every product but the middle one.  A row
+    with no nonzero pair, or whose sum is zero, is a shared zero tuple.
     """
     nslots = len(a[0])
     zero_row = (0,) * nslots
+    square = b is a
     abits = _row_bits(a)
-    bbits = abits if b is a else []
-    # width class bps -> (packed rows of a, packed rows of b, _bias); a
-    # nonzero row packs to a nonzero int, so 0 also marks "not packed yet"
-    classes: dict[int, tuple[list[int], list[int], int]] = {}
+    bbits = abits if square else []
+    # width class bps -> (packed rows of a, packed rows of b); a nonzero
+    # row packs to a nonzero int, so 0 also marks "not packed yet"
+    classes: dict[int, tuple[list[int], list[int]]] = {}
     for d in range(dbound + 1):
-        if bbits is not abits:
+        if not square:
             bbits += _row_bits(b[len(bbits):])
-        pairs = [i for i in range(lo, d + 1) if abits[i] and bbits[d - i]]
+        top = d // 2 if square else d
+        pairs = [i for i in range(lo, top + 1) if abits[i] and bbits[d - i]]
         if not pairs:
             yield zero_row
             continue
@@ -195,17 +165,20 @@ def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
         bps = 1 << (nbytes - 1).bit_length()
         if bps not in classes:
             pa = [0] * (dbound + 1)
-            classes[bps] = (pa, pa if b is a else pa[:], _bias(nslots, bps))
-        pa, pb, bias = classes[bps]
+            classes[bps] = (pa, pa if square else pa[:])
+        pa, pb = classes[bps]
+        acc = 0
         # only rows that meet here are packed: another row of a or b may
         # be too wide for this class
         for i in pairs:
+            j = d - i
             if not pa[i]:
                 pa[i] = _pack(a[i], bps)
-            if not pb[d - i]:
-                pb[d - i] = _pack(b[d - i], bps)
-        acc = _mac(pa, pb, lo, d)
-        yield tuple(_unpack(acc, nslots, bps, bias)) if acc else zero_row
+            if not pb[j]:
+                pb[j] = _pack(b[j], bps)
+            p = pa[i] * pb[j]
+            acc += p + p if square and i < j else p
+        yield tuple(_unpack(acc, nslots, bps)) if acc else zero_row
 
 
 class BiSeries:
@@ -443,15 +416,16 @@ class BiSeries:
             raise ValueError(f"constant term must be +-1, got {unit}")
         if dbound < 0:
             return BiSeries.zero(cmax, dmax)
+        num = self
         if any(den0[1:]):
-            # reduce row 0 to 1 through this same path: multiply both
-            # sides by 1/D0(x), the inverse of D0 transposed into y
+            # reduce row 0 to 1 once: multiply both sides by 1/D0(x), the
+            # inverse of D0 transposed into y, whose row 0 is the unit
             inv0 = BiSeries(0, cmax, tuple((v,) for v in den0)).invert()
             scale = BiSeries(cmax, 0, (tuple(inv0.grid()[0]),)).pad(dmax)
-            return (self * scale)._divide_bounded(den * scale, dbound)
+            num, den, unit = self * scale, den * scale, 1
         q: list[tuple[int, ...]] = []
         sums = _convolve(den._rows[:dbound + 1], q, 1, dbound)
-        for row, s in zip(self._rows, sums):
+        for row, s in zip(num._rows, sums):
             # unit * (row - s): the operand order carries the sign
             q.append(tuple(map(operator.sub, row, s) if unit == 1
                            else map(operator.sub, s, row)))

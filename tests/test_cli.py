@@ -185,6 +185,29 @@ def test_oracle_dump_to_unwritable_path_is_an_error(tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_two_outputs_to_one_file_are_a_usage_error(tmp_path, monkeypatch,
+                                                   capsys):
+    # one output would overwrite the other: refused before either path is
+    # opened or any work runs; the same file under another spelling too
+    monkeypatch.chdir(tmp_path)
+    calls = spy_on(monkeypatch, cli, "enumerate_flat")
+    for argv in (["oracle", "--degree", "2", "--dump", "same.json",
+                  "--output", "same.json"],
+                 ["verify", "--only", "q-factor", "--output", "v.json",
+                  "--artifact", str(tmp_path / "v.json")]):
+        code = main(argv)
+        assert code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: "), argv
+        assert captured.out == ""
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    # '-' may repeat: both go to standard output
+    code, out = run(capsys, "oracle", "--degree", "1", "--dump", "-",
+                    "--output", "-")
+    assert code == 0 and out
+
+
 def test_verify_only_growth_constant(capsys):
     code, out = run(capsys, "verify", "--only", "growth-constant")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from forestcount.series import (PACK_MEMO_SIZE, BiSeries, BoxMismatchError,
-                                _bias, _mac, _pack, _unpack, mul_reference)
+                                _pack, _unpack, mul_reference)
 
 
 def series_from(cmax, dmax, terms):
@@ -188,6 +188,25 @@ def test_divide_roundtrip():
     assert den * num.divide(den) == num
 
 
+def test_x_terms_in_row_zero_cost_one_reduction(monkeypatch):
+    # row 0 = 1 + 5x is reduced to 1 by one one-column inverse, and the
+    # reduced pair goes straight on to the quotient rows: no nested call
+    # on it, whose end would rest on every product being right
+    num = series_from(2, 3, {(0, 0): 4, (1, 1): -2, (2, 3): 9})
+    den = series_from(2, 3, {(0, 0): 1, (1, 0): 5, (0, 2): -3})
+    boxes = []
+    divide_bounded = BiSeries._divide_bounded
+
+    def spy(self, other, dbound):
+        boxes.append(self.box())
+        return divide_bounded(self, other, dbound)
+
+    monkeypatch.setattr(BiSeries, "_divide_bounded", spy)
+    q = num.divide(den)
+    assert boxes == [(2, 3), (0, 2)]
+    assert den * q == num
+
+
 # ----------------------------------------------------------------------
 # property tests: ring axioms, packed product vs reference
 # ----------------------------------------------------------------------
@@ -335,7 +354,7 @@ def test_bounded_rows_match_full_result(triple, unit):
 
 
 # ----------------------------------------------------------------------
-# the packed kernel: squares in _mac, the _pack memo
+# the packed kernel: squares in _convolve, the _pack memo
 # ----------------------------------------------------------------------
 
 def renewed(s):
@@ -347,17 +366,18 @@ def renewed(s):
 @given(st.lists(st.one_of(st.just(0), st.integers(-WIDE, WIDE)),
                 min_size=1, max_size=9))
 @example([5, 7, 0, 11, 13])         # d = 4 has a zero middle row
-@example([0, 3, 0, 0, 2, 0])        # zero rows beside every middle
+@example([0, 3, 0, 0, 2, 0])        # zeros beside every middle
 @example([0, 0, 0, 0])
-def test_square_mac_equals_the_pair_sum(packed):
-    # zeros are drawn often: zero middle rows and zero partners; from
-    # lo = 1 the pairs are no longer symmetric, so no square is taken
-    for lo in (0, 1):
-        for d in range(lo, len(packed)):
-            pair_sum = sum(packed[i] * packed[d - i]
-                           for i in range(lo, d + 1))
-            assert _mac(packed, packed, lo, d) == pair_sum, (lo, d)
-            assert _mac(packed, packed[:], lo, d) == pair_sum, (lo, d)
+def test_square_equals_the_pair_sum(values):
+    # a one-column series (cmax 0) packs each row into one slot, so row d
+    # of its square is the plain pair sum; zeros are drawn often: zero
+    # middle rows and zero partners.  a * a takes the square path,
+    # a * renewed(a) the general one
+    a = BiSeries(0, len(values) - 1, tuple((v,) for v in values))
+    pair_sums = [sum(values[i] * values[d - i] for i in range(d + 1))
+                 for d in range(len(values))]
+    assert [r[0] for r in (a * a)._rows] == pair_sums
+    assert [r[0] for r in (a * renewed(a))._rows] == pair_sums
 
 
 @st.composite
@@ -383,8 +403,7 @@ def test_one_row_packed_at_two_widths():
         expected = sum(v * 2 ** (8 * bps * c) for c, v in enumerate(row))
         for same in (row, tuple(list(row))):
             assert _pack(same, bps) == expected, bps
-        assert _unpack(_pack(row, bps), len(row), bps,
-                       _bias(len(row), bps)) == list(row)
+        assert _unpack(_pack(row, bps), len(row), bps) == list(row)
 
 
 def extreme_rows(top):
@@ -408,8 +427,7 @@ def test_pack_round_trip_at_every_width(bps):
         packed = _pack(row, bps)
         assert packed == sum(v * 2 ** (8 * bps * c)
                              for c, v in enumerate(row)), row
-        assert _unpack(packed, len(row), bps,
-                       _bias(len(row), bps)) == list(row), row
+        assert _unpack(packed, len(row), bps) == list(row), row
 
 
 @pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 32])

@@ -32,7 +32,11 @@ one traced run) with one seed in each checkout, for every workload of
 BENCHMARK.json, and prints side by side the per-layer metrics whose unit
 is `count` or `bit`, marking DIFFERS where the two checkouts disagree.
 These counts repeat exactly from run to run, so one run per side
-suffices; it exits 1 if a run's outputs were wrong.
+suffices; it exits 1 if a run's outputs were wrong.  It then prints the
+hits and misses of the `series._pack` memo for two workloads, each in a
+fresh child per checkout (run as for `digests`): the odd and linear
+(64,32) solves, and the count-session queries of the seed asked through
+count_configurations.  A change that keeps every pack keeps both.
 
 `digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
 and the checkout as working directory, and prints side by side what a
@@ -182,7 +186,45 @@ def counts(parent: Path, change: Path, seed: int) -> bool:
             p, c = (r["metrics"][name]["value"] for r in runs)
             print(f"  {name:28} {p:>14,} {c:>14,}"
                   + ("  DIFFERS" if p != c else ""))
+    print(f"series._pack memo, seed {seed}:")
+    print(f"  {'workload':28} {'parent':>14} {'change':>14}")
+    for w in MEMO_WORKLOADS:
+        sides = [child(checkout, MEMO_CHILD, w, str(seed))
+                 for checkout in (parent, change)]
+        for i, what in enumerate(("hits", "misses")):
+            p, c = (side[i] for side in sides)
+            print(f"  {w + ' ' + what:28} {p:>14,} {c:>14,}"
+                  + ("  DIFFERS" if p != c else ""))
     return correct
+
+
+MEMO_WORKLOADS = ("(64,32) solves", "count-session")
+MEMO_CHILD = r"""
+import json, sys
+from forestcount import count_configurations, series, solve_system
+
+if sys.argv[1] == "(64,32) solves":
+    for conv in ("odd", "linear"):
+        solve_system(conv, 64, 32)
+else:
+    sys.path.insert(0, "benchmarks")
+    from workloads import session_queries
+    for c, d, conv in session_queries(int(sys.argv[2])):
+        count_configurations(c, d, conv)
+info = series._pack.cache_info()
+print(json.dumps([info.hits, info.misses]))
+"""
+
+
+def child(checkout: Path, code: str, *args: str):
+    """Run code in a fresh interpreter on the checkout's sources, from the
+    checkout; return the JSON of its last output line."""
+    checkout = checkout.resolve()
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout,
+                         env=env, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 DIGEST_CHILD = r"""
@@ -229,13 +271,7 @@ print(json.dumps(lines))
 def digests(parent: Path, change: Path) -> bool:
     """Print both checkouts' output digests side by side; return whether
     they all agree."""
-    sides = []
-    for checkout in (parent.resolve(), change.resolve()):
-        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-        out = subprocess.run([sys.executable, "-c", DIGEST_CHILD],
-                             cwd=checkout, env=env, check=True, text=True,
-                             stdout=subprocess.PIPE).stdout
-        sides.append(json.loads(out.strip().splitlines()[-1]))
+    sides = [child(checkout, DIGEST_CHILD) for checkout in (parent, change)]
     same = True
     print(f"{'output':32} {'parent':>24} {'change':>24}")
     for name, p in sides[0].items():
