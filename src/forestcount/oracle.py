@@ -101,8 +101,6 @@ def enumerate_flat(d: int) -> list[ChordDiagram]:
     if d > MAX_ORACLE_DEGREE:
         raise ValueError(
             f"degree {d} above the oracle guard ({MAX_ORACLE_DEGREE})")
-    if d == 0:
-        return [ChordDiagram(0, (), (), ())]
     odd_points = tuple(p for p in range(4 * d) if p % 2 == 0)
     even_points = tuple(p for p in range(4 * d) if p % 2 == 1)
     odd_options = _matchings(odd_points, True, [])

@@ -14,30 +14,13 @@ threads; all operations are pure functions.
 
 Products and quotients run through one row loop, `_convolve`, over a
 packed representation: each d-row is encoded into one signed big integer
-sum_c row[c] * 2**(8*bps*c) with fixed-width slots along c, turning a
-whole row convolution into a single int multiplication whatever the
-signs.  Slots are sized so that every slot of a row sum stays below
-2**(8*bps-1) in absolute value; a row is read back by adding a bias with
-the top bit of each slot set, flipping those bits back and reading each
-slot as a two's-complement value.  Slots are sized row by row: output
-row d sums a_i * b_{d-i}, and its slots are sized from the widest pair
-of nonzero rows that meet there, in whole bytes rounded up to a power of
-two.  Coefficients grow with the degree, so low rows use narrow slots
-and only the top rows pay for the widest.  A row with slots of 1, 2, 4
-or 8 bytes converts to and from bytes in one `struct` call; only wider
-slots convert coefficient by coefficient.  Packing is memoised by row
-content and width (`_pack`, at most PACK_MEMO_SIZE entries), so a row
-that meets the same width again, in this product or a later one, is not
-packed again.  A square multiplies each unordered pair of rows once.
-A quotient feeds its own rows back into the loop as they are produced;
-row d reads only the rows before it, whose sizes are already known.  A
-denominator whose row 0 has x terms, D0(x), is first reduced to row 0 =
-1 by multiplying both sides by 1/D0(x), the quotient of the transposed
-one-row series.  That keeps the dominant cost inside CPython's big-int
-multiply rather than Python-level loops, which is what makes the large
-verification boxes affordable.  A plain nested-loop product
-(`mul_reference`) is kept alongside and is cross-checked against the
-packed product by the test suite.
+with fixed-width slots along c (`_pack`, `_unpack`), turning a whole row
+convolution into a single int multiplication whatever the signs.  That
+keeps the dominant cost inside CPython's big-int multiply rather than
+Python-level loops, which is what makes the large verification boxes
+affordable.  A plain nested-loop product (`mul_reference`) is kept
+alongside and is cross-checked against the packed product by the test
+suite.
 """
 
 from __future__ import annotations

@@ -16,26 +16,21 @@ that any convention-dependent cell is surfaced rather than hidden.
 Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
 n4 = G(n4) for simple configurations).  A step of Newton's iteration
 z <- z + (G(z) - z) / (1 - G'(z)) can double the number of exact
-y-degrees (Brent and Kung, J. ACM 25(4), 1978).  The steps follow the
-halving ladder ceil((dmax+1) / 2^j) upwards (von zur Gathen and Gerhard,
-Modern Computer Algebra, section 9), so dmax.bit_length() steps reach the
-box, each works on the box of the rows it makes exact, and only the last
-works on the full box.  n1 = 1 + y n2^4 and n3 = n2 / n1 are then built
-once on the full box, and the other two equations and nonnegativity are
-checked there before a solution is returned (see _check_solved);
-SystemSolution.verify rebuilds n1 as well and checks all three.
+y-degrees (Brent and Kung, J. ACM 25(4), 1978); the steps follow the
+halving ladder (von zur Gathen and Gerhard, Modern Computer Algebra,
+section 9; see _newton).  n1 = 1 + y n2^4 and n3 = n2 / n1 are then
+built once on the full box, and the other two equations and
+nonnegativity are checked there before a solution is returned (see
+_check_solved); SystemSolution.verify rebuilds n1 as well and checks all
+three.
 
 The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
-every weight table splits there into a prefix P of k0 - 1 terms and one
-arithmetic run weight(k) = w0 + s (k - k0), k >= k0, so that
-T(t) = P(t) + x^w0 t^k0 / (1 - x^s t) (see _tail_split); a table with no
-weight on the box gets a run that lies wholly outside it.  A Newton step
-then takes k0 - 1 products for powers of t and two divisions.  k0 stays
-fixed as the box grows for a rule that ends arithmetic, as both built-in
-conventions do (k0 = 1 for odd, 2 for linear); for one that never does,
-such as weight(k) = k^2, it grows with the box.  The full-box gate checks
-the meeting-point equation multiplied through by 1 - x^s t, without a
-division, in k0 products.
+it splits into a prefix of k0 - 1 terms and one arithmetic run (see
+_tail_split), so a Newton step takes k0 - 1 products for powers of t and
+two divisions (see _system_step).  k0 stays fixed as the box grows for a
+rule that ends arithmetic, as both built-in conventions do (k0 = 1 for
+odd, 2 for linear); for one that never does, such as weight(k) = k^2, it
+grows with the box.
 
 Factors that a power of y multiplies are built only through the rows
 that stay in the box (see _below).
@@ -164,16 +159,6 @@ def _check_split(split: TailSplit, weights: list[int], cmax: int,
                           f"table on the box ({cmax},{dmax})")
 
 
-def _prefix_powers(u: BiSeries,
-                   split: TailSplit) -> tuple[list[BiSeries], BiSeries]:
-    """The prefix terms x^weight(k) u^k for k < k0, and u^k0."""
-    terms, uk = [], u
-    for w in split.prefix:
-        terms.append(uk.shift(w, 0))
-        uk = uk * u
-    return terms, uk
-
-
 def _below(z: BiSeries, k: int) -> BiSeries:
     """z without its top k rows (row 0 always stays): the rows of a factor
     that y^k shifts out of the box.  w.pad(z.dmax).shift(0, k) puts a
@@ -289,7 +274,10 @@ def _system_step(split: TailSplit):
         a = (z2 * z2).pad(b).shift(0, 1)
         n1 = BiSeries.one(cmax, b) + a
         t = z - z.divide(n1)
-        terms, tk0 = _prefix_powers(t, split)
+        terms, tk0 = [], t          # x^weight(k) t^k for k < k0, then t^k0
+        for w in split.prefix:
+            terms.append(tk0.shift(w, 0))
+            tk0 = tk0 * t
         den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
         run = tk0.shift(split.w0, 0).divide(den)
         tt = sum(terms, run)                # T(t)
@@ -378,6 +366,8 @@ def cached_solution(convention: str | CodimWeight, cmax: int,
     a smaller query under the same convention name when their validated
     weight tables agree through the query's degree (rows d <= dmax depend
     on weight(k) for k <= dmax only)."""
+    if cmax < 0 or dmax < 0:
+        raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
     weights = tuple(conv.table(dmax))
     for (name, ws, cm, dm), sol in list(_cache.items()):
@@ -403,10 +393,4 @@ def clear_cache() -> None:
 def count_configurations(c: int, d: int,
                          convention: str | CodimWeight = ODD) -> int:
     """#configurations of codimension c and degree d (exact, >= 0)."""
-    if c < 0 or d < 0:
-        raise ValueError("codimension and degree must be nonnegative")
-    solution = cached_solution(convention, c, d)
-    value = solution.n1.coeff(c, d)
-    if value < 0:
-        raise NegativeCoefficientError(f"negative count at ({c},{d})")
-    return value
+    return cached_solution(convention, c, d).n1.coeff(c, d)

@@ -141,6 +141,17 @@ def test_asymptotics_degenerate_input(capsys):
     assert code == 1
 
 
+def test_asymptotics_degree_zero_keeps_the_output_file(tmp_path, capsys):
+    # refused as a usage error before --output is opened
+    target = tmp_path / "f.json"
+    target.write_text("keep\n")
+    code = main(["asymptotics", "--codim", "0", "--degree", "0",
+                 "--output", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert target.read_text() == "keep\n"
+
+
 def test_oracle_command(capsys):
     code, out = run(capsys, "oracle", "--degree", "3")
     assert code == 0
@@ -164,9 +175,9 @@ def spy_on(monkeypatch, module, name):
     """Replace module.name by a wrapper; return the list of its calls."""
     calls, real = [], getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -269,9 +280,15 @@ def test_verify_jsonl_schema(capsys):
         assert key in doc
 
 
-def test_verify_unknown_check(capsys):
-    code = main(["verify", "--only", "bogus"])
+def test_verify_unknown_check(tmp_path, monkeypatch, capsys):
+    # the parser refuses the name before any path is opened or check runs
+    monkeypatch.chdir(tmp_path)
+    calls = spy_on(monkeypatch, cli, "run_suite")
+    code = main(["verify", "--only", "bogus", "--output", "o.json"])
     assert code == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "o.json").exists()
+    assert calls == []
 
 
 def test_verify_artifact_written(tmp_path, capsys):

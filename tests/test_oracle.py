@@ -21,8 +21,9 @@ def test_interleave():
 
 
 def test_degree_zero_single_empty_diagram():
+    # the general loop builds it from the one empty matching of each parity
     diagrams = enumerate_flat(0)
-    assert len(diagrams) == 1
+    assert diagrams == [ChordDiagram(0, (), (), ())]
     ok, violations = validate_diagram(diagrams[0])
     assert ok, violations
 

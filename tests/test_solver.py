@@ -486,3 +486,13 @@ def test_cache_concurrent_readers():
 def test_negative_query_rejected():
     with pytest.raises(ValueError):
         count_configurations(-1, 2)
+
+
+def test_warm_cache_rejects_negative_boxes():
+    # a negative dmax makes the weight-table prefix empty, which every
+    # cached table starts with: the box is checked before the lookup
+    clear_cache()
+    cached_solution("odd", 4, 4)
+    for cmax, dmax in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            cached_solution("odd", cmax, dmax)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestcount.series import BiSeries
+from forestcount.series import BiSeries, mul_reference
 from forestcount.solver import cached_solution
 from forestcount.verify import (CHECKS, ODD_EQUATION, P_MIN, Q_REFERENCE,
                                 ZPolynomial, check_alt_tails,
@@ -94,6 +94,33 @@ def test_residual_of_difference_is_zero():
     assert residual_bivariate(poly, n1).is_zero()
 
 
+def residual_by_terms(poly, z):
+    """poly(x, y, z) summed coefficient by coefficient, powers of z from
+    mul_reference; terms outside z's box contribute nothing."""
+    cmax, dmax = z.cmax, z.dmax
+    powers = [BiSeries.one(cmax, dmax)]
+    for _ in range(max(t[2] for t in poly.terms)):
+        powers.append(mul_reference(powers[-1], z))
+    coeffs = {}
+    for xe, ye, ze, co in poly.terms:
+        for c in range(xe, cmax + 1):
+            for d in range(ye, dmax + 1):
+                coeffs[c, d] = (coeffs.get((c, d), 0)
+                                + co * powers[ze].coeff(c - xe, d - ye))
+    return BiSeries.from_terms(cmax, dmax, coeffs)
+
+
+@pytest.mark.parametrize("poly", [P_MIN, ODD_EQUATION], ids=["P", "odd"])
+@pytest.mark.parametrize("box", [(0, 0), (3, 0), (0, 1)])
+def test_residual_drops_terms_outside_the_box(poly, box):
+    cmax, dmax = box
+    assert any(xe > cmax or ye > dmax for xe, ye, _, _ in poly.terms)
+    z = BiSeries.from_terms(cmax, dmax, {(c, d): 3 + 2 * c - 5 * d
+                                         for c in range(cmax + 1)
+                                         for d in range(dmax + 1)})
+    assert poly.residual(z) == residual_by_terms(poly, z)
+
+
 def test_zpolynomial_algebra():
     a = ZPolynomial.from_terms([(0, 0, 0, 1), (1, 0, 1, 2)])
     b = ZPolynomial.from_terms([(0, 1, 0, 3)])
@@ -171,6 +198,7 @@ def test_row_sum_report_schema():
     for key in ("schema", "check", "status", "offending_cells", "details"):
         assert key in report
     assert report["check"] == "row-sum"
+    assert report["details"]["convention"] == "odd"
 
 
 def test_row_sum_rejects_box_without_ratios():
@@ -207,6 +235,8 @@ def test_support_bound_check():
 def test_asymptotics_check():
     report = check_asymptotics(d=200)
     assert report["status"] == "pass"
+    assert report["details"]["window"] == [0.8, 1.2]
+    assert list(report["details"]["ratios"]) == ["0", "1", "2"]
     for ratio in report["details"]["ratios"].values():
         assert 0.8 <= ratio <= 1.2
 

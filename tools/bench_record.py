@@ -49,9 +49,13 @@ of solve_simple(20,40); the exit code and SHA-256 of the default
 `forestcount verify --format jsonl`; whether
 `verify --only cross-routes --artifact -` writes the checkout's
 committed route_agreement.json; and the exit code and SHA-256 of
-`oracle --degree d --dump -` for d = 0..4.  Digests are shown by their
-first 16 hex digits.  It marks each line where the checkouts differ with
-DIFFERS and exits 1 if any does.
+`oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
+the JSON output of `count --codim c --degree 12` for c = 0, 1, 2,
+`table --route closed-form --cmax 1 --dmax 30`, `asymptotics --codim 1
+--degree 200` and `simple --cmax 6 --dmax 20`; and the exit codes of the
+usage errors `verify --only bogus` and `asymptotics --codim 0 --degree
+0`.  Digests are shown by their first 16 hex digits.  It marks each line
+where the checkouts differ with DIFFERS and exits 1 if any does.
 
 Standard library only.
 """
@@ -240,7 +244,8 @@ def rows(*series):
 
 def cli(*argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
     return code, out.getvalue()
 
@@ -264,6 +269,14 @@ lines["cross-routes --artifact -"] = (
 for d in range(5):
     code, out = cli("oracle", "--degree", str(d), "--dump", "-")
     lines[f"oracle --degree {d} --dump -"] = f"exit {code} {sha(out)}"
+commands = [f"count --codim {c} --degree 12" for c in range(3)] + [
+    "table --route closed-form --cmax 1 --dmax 30",
+    "asymptotics --codim 1 --degree 200", "simple --cmax 6 --dmax 20"]
+for command in commands:
+    code, out = cli(*command.split(), "--format", "json")
+    lines[command] = f"exit {code} {sha(out)}"
+for command in ("verify --only bogus", "asymptotics --codim 0 --degree 0"):
+    lines[command] = f"exit {cli(*command.split())[0]}"
 print(json.dumps(lines))
 """
 
@@ -273,11 +286,11 @@ def digests(parent: Path, change: Path) -> bool:
     they all agree."""
     sides = [child(checkout, DIGEST_CHILD) for checkout in (parent, change)]
     same = True
-    print(f"{'output':32} {'parent':>24} {'change':>24}")
+    print(f"{'output':44} {'parent':>24} {'change':>24}")
     for name, p in sides[0].items():
         c = sides[1][name]
         same = same and p == c
-        print(f"{name:32} {p:>24} {c:>24}" + ("  DIFFERS" if p != c else ""))
+        print(f"{name:44} {p:>24} {c:>24}" + ("  DIFFERS" if p != c else ""))
     return same
 
 
