@@ -367,8 +367,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # an exact count can pass CPython's limit on int-to-str digits (4,300
+    # by default since 3.10.7); lift it while the command runs and restore
+    # it after, since main also runs inside other programs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = parser.parse_args(argv)
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -379,6 +385,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -117,15 +117,20 @@ def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
     then).  Each output row sizes its own slots from the rows that meet
     in it: the largest bits(a_i) + bits(b_{d-i}) over the pairs with both
     rows nonzero, plus the bits of nslots * (d+1), the most slot products
-    one slot can sum, plus a sign bit, in whole bytes rounded up to a
-    power of two.  Each such width class keeps its own packed rows; a
-    row enters a class the first time it meets a nonzero row there,
-    through the `_pack` memo, which also serves the rows that earlier
-    products already packed at that width, and each pair is multiplied
-    as soon as its rows are packed.  A product of a series with itself
-    (b is a) is a square: it shares one list per class, lists only the
-    pairs i <= d-i and doubles every product but the middle one.  A row
-    with no nonzero pair, or whose sum is zero, is a shared zero tuple.
+    one slot can sum, plus a sign bit, in whole bytes: up to 8 bytes
+    rounded up to a power of two, so `_pack` and `_unpack` convert the
+    slots through `struct`, and above 8 bytes rounded up to a multiple
+    of 8, since the multiply's cost follows the bits per slot and a
+    power of two would pad a 17-byte slot to 32.  (Exact byte widths
+    make more width classes, hence more packs, and are slower.)  Each
+    such width class keeps its own packed rows; a row enters a class the
+    first time it meets a nonzero row there, through the `_pack` memo,
+    which also serves the rows that earlier products already packed at
+    that width, and each pair is multiplied as soon as its rows are
+    packed.  A product of a series with itself (b is a) is a square: it
+    shares one list per class, lists only the pairs i <= d-i and doubles
+    every product but the middle one.  A row with no nonzero pair, or
+    whose sum is zero, is a shared zero tuple.
     """
     nslots = len(a[0])
     zero_row = (0,) * nslots
@@ -145,7 +150,8 @@ def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
             continue
         need = max([abits[i] + bbits[d - i] for i in pairs])
         nbytes = (need + (nslots * (d + 1)).bit_length() + 8) // 8
-        bps = 1 << (nbytes - 1).bit_length()
+        bps = (1 << (nbytes - 1).bit_length() if nbytes <= 8
+               else (nbytes + 7) // 8 * 8)
         if bps not in classes:
             pa = [0] * (dbound + 1)
             classes[bps] = (pa, pa if square else pa[:])

@@ -1,8 +1,13 @@
+import contextlib
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from forestcount import cli, solver
 from forestcount.cli import main
+from forestcount.formulas import codim1_count, flat_count, simple_count
 from forestcount.solver import cached_solution
 from forestcount.tables import CountTable
 
@@ -134,6 +139,56 @@ def test_asymptotics_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert 0.9 <= doc["exact_over_estimate"] <= 1.1
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run the block under CPython's int-to-str digit limit `limit`
+    (0 lifts it), restoring the old limit after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="no int-to-str digit limit before CPython 3.10.7")
+
+
+@needs_digit_limit
+def test_asymptotics_prints_a_count_past_the_digit_limit(capsys):
+    # simple_count(1, 4500) has 4,394 digits, above the default 4,300
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "json"):
+        code, out = run(capsys, "asymptotics", "--codim", "1",
+                        "--degree", "4500", "--format", fmt)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        with int_digit_limit(0):
+            exact = str(simple_count(1, 4500))
+            if fmt == "json":
+                assert json.loads(out)["exact"] == exact
+            else:
+                assert f"exact simple count  {exact}\n" in out
+
+
+@needs_digit_limit
+def test_table_prints_counts_past_the_digit_limit(capsys):
+    # a closed-form table to dmax 4500 takes seconds to compute, so the
+    # limit is lowered to its minimum, 640 digits, which codim1_count(d)
+    # passes from d = 658 on and flat_count(d) from d = 661 on
+    with int_digit_limit(640):
+        code, out = run(capsys, "table", "--route", "closed-form",
+                        "--cmax", "1", "--dmax", "700", "--format", "json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 640
+    with int_digit_limit(0):
+        values = json.loads(out)["tables"][0]["values"]
+    assert values == [[flat_count(d) for d in range(701)],
+                      [codim1_count(d) for d in range(701)]]
 
 
 def test_asymptotics_degenerate_input(capsys):

@@ -299,7 +299,11 @@ def test_packed_product_wide_signed_matches_reference(triple):
     assert a * a == mul_reference(a, a)
 
 
-@pytest.mark.parametrize("bits", range(1, 18))
+# rows of b bits need slots of about b/4 bytes, so the bits just below
+# 4 * step put the needed widths on both sides of each 8-byte step:
+# 8/9, 16/17 and 24/25 bytes
+@pytest.mark.parametrize("bits", [*range(1, 18)] + [
+    b for step in (8, 16, 24) for b in range(4 * step - 2, 4 * step + 2)])
 def test_packed_product_fills_slots(bits):
     # all-maximal rows push a product slot to the top of its sizing bound
     top = 2 ** bits - 1
@@ -418,9 +422,9 @@ def extreme_rows(top):
                 yield tuple(v if c == p else -v for c in range(n))
 
 
-@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 24, 32, 40])
 def test_pack_round_trip_at_every_width(bps):
-    # 1, 2, 4 and 8 bytes convert through struct, 16 and 32 per slot;
+    # 1, 2, 4 and 8 bytes convert through struct, wider slots per slot;
     # +-(2**(8*bps-1) - 1) is the widest coefficient a slot holds
     top = 2 ** (8 * bps - 1) - 1
     for row in extreme_rows(top):
@@ -430,7 +434,7 @@ def test_pack_round_trip_at_every_width(bps):
         assert _unpack(packed, len(row), bps) == list(row), row
 
 
-@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 24, 32, 40])
 def test_pack_rejects_coefficients_outside_the_slot(bps):
     # a coefficient that does not fit raises; it never wraps
     for v in (2 ** (8 * bps - 1), -2 ** (8 * bps - 1) - 1, 2 ** (8 * bps)):

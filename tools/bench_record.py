@@ -33,10 +33,11 @@ BENCHMARK.json, and prints side by side the per-layer metrics whose unit
 is `count` or `bit`, marking DIFFERS where the two checkouts disagree.
 These counts repeat exactly from run to run, so one run per side
 suffices; it exits 1 if a run's outputs were wrong.  It then prints the
-hits and misses of the `series._pack` memo for two workloads, each in a
-fresh child per checkout (run as for `digests`): the odd and linear
-(64,32) solves, and the count-session queries of the seed asked through
-count_configurations.  A change that keeps every pack keeps both.
+hits and misses of the `series._pack` memo for three workloads, each in
+a fresh child per checkout (run as for `digests`): the odd and linear
+(64,32) solves, the odd (120,60) solve, where the memo evicts, and the
+count-session queries of the seed asked through count_configurations.
+A change that keeps every pack keeps all three.
 
 `digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
 and the checkout as working directory, and prints side by side what a
@@ -202,7 +203,7 @@ def counts(parent: Path, change: Path, seed: int) -> bool:
     return correct
 
 
-MEMO_WORKLOADS = ("(64,32) solves", "count-session")
+MEMO_WORKLOADS = ("(64,32) solves", "odd (120,60) solve", "count-session")
 MEMO_CHILD = r"""
 import json, sys
 from forestcount import count_configurations, series, solve_system
@@ -210,6 +211,8 @@ from forestcount import count_configurations, series, solve_system
 if sys.argv[1] == "(64,32) solves":
     for conv in ("odd", "linear"):
         solve_system(conv, 64, 32)
+elif sys.argv[1] == "odd (120,60) solve":
+    solve_system("odd", 120, 60)
 else:
     sys.path.insert(0, "benchmarks")
     from workloads import session_queries
