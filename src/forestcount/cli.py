@@ -23,13 +23,16 @@ default 200000 cells) exit 3.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import os
 import sys
 
 from .dp import dp_count, dp_table
 from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
-                       codim1_count, flat_count, simple_count)
+                       codim1_count, codim1_row, flat_count, flat_row,
+                       simple_count)
 from .oracle import MAX_ORACLE_DEGREE, dump_diagrams, enumerate_flat
 from .solver import (CONVENTIONS, cached_solution, count_configurations,
                      solve_simple)
@@ -171,9 +174,9 @@ def cmd_table(args) -> int:
     elif args.route == "dp":
         tables.append(CountTable.from_rows(dp_table(cmax, dmax), "n1", "dp"))
     else:  # closed-form: only the c <= 1 rows have formulas
-        rows = [[flat_count(d) for d in range(dmax + 1)]]
+        rows = [flat_row(dmax)]
         if cmax == 1:
-            rows.append([codim1_count(d) for d in range(dmax + 1)])
+            rows.append(codim1_row(dmax))
         tables.append(CountTable.from_rows(rows, "n1", "closed-form"))
     doc = {"schema": "table-report@1",
            "tables": [t.to_json_dict() for t in tables]}
@@ -214,12 +217,17 @@ def cmd_asymptotics(args) -> int:
     _claim(args.output)
     exact = simple_count(c, d)
     ratio = asymptotic_ratio(exact, c, d)
+    estimate, log = asymptotic_estimate(c, d), asymptotic_log(c, d)
+    # past the float range the estimate is null in JSON, which has no
+    # infinity, and the text form takes it from its log
+    finite = math.isfinite(estimate)
     doc = {"schema": "asymptotics-report@1", "codim": c, "degree": d,
-           "exact": str(exact), "estimate": asymptotic_estimate(c, d),
-           "log_estimate": asymptotic_log(c, d), "exact_over_estimate": ratio}
+           "exact": str(exact), "estimate": estimate if finite else None,
+           "log_estimate": log, "exact_over_estimate": ratio}
+    shown = estimate if finite else decimal.Context().exp(decimal.Decimal(log))
     return _finish(args, doc, "\n".join([
         f"exact simple count  {exact}",
-        f"asymptotic estimate {doc['estimate']:.6e}",
+        f"asymptotic estimate {shown:.6e}",
         f"exact / estimate    {ratio:.6f}",
     ]))
 

@@ -52,6 +52,31 @@ def codim1_count(d: int) -> int:
     return 4 * math.comb(4 * d, d - 2)
 
 
+def flat_row(dmax: int) -> list[int]:
+    """flat_count(d) for d = 0..dmax, each cell from the one before:
+    flat_count(d+1) = flat_count(d) (4d+1)(4d+2)(4d+3)(4d+4)
+    / ((d+1)(3d+2)(3d+3)(3d+4)), one product and one exact division of
+    a big int by a small one per cell instead of a binomial."""
+    row, v = [], 1
+    for d in range(dmax + 1):
+        row.append(v)
+        v = _exact_div(v * ((4*d + 1) * (4*d + 2) * (4*d + 3) * (4*d + 4)),
+                       (d + 1) * (3*d + 2) * (3*d + 3) * (3*d + 4))
+    return row
+
+
+def codim1_row(dmax: int) -> list[int]:
+    """codim1_count(d) for d = 0..dmax, each cell from the one before:
+    codim1_count(d+1) = codim1_count(d) (4d+1)(4d+2)(4d+3)(4d+4)
+    / ((d-1)(3d+3)(3d+4)(3d+5)) for d >= 2."""
+    row, v = [0, 0][:dmax + 1], 4
+    for d in range(2, dmax + 1):
+        row.append(v)
+        v = _exact_div(v * ((4*d + 1) * (4*d + 2) * (4*d + 3) * (4*d + 4)),
+                       (d - 1) * (3*d + 3) * (3*d + 4) * (3*d + 5))
+    return row
+
+
 def simple_count(c: int, d: int) -> int:
     """Number of simple configurations of codimension c and degree d:
     0 when d < 2c, else 4^c / (c+3d+1) * multinomial(4d; c, d-2c, c+3d)."""

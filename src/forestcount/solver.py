@@ -18,11 +18,12 @@ n4 = G(n4) for simple configurations).  A step of Newton's iteration
 z <- z + (G(z) - z) / (1 - G'(z)) can double the number of exact
 y-degrees (Brent and Kung, J. ACM 25(4), 1978); the steps follow the
 halving ladder (von zur Gathen and Gerhard, Modern Computer Algebra,
-section 9; see _newton).  n1 = 1 + y n2^4 and n3 = n2 / n1 are then
-built once on the full box, and the other two equations and
-nonnegativity are checked there before a solution is returned (see
-_check_solved); SystemSolution.verify rebuilds n1 as well and checks all
-three.
+section 9; see _newton).  A solve climbs only the rungs above the exact
+leading rows that a cached n2 of the same rule gives it (see _seed).
+n1 = 1 + y n2^4 and n3 = n2 / n1 are then built once on the full box,
+and the other two equations and nonnegativity are checked there before a
+solution is returned (see _check_solved); SystemSolution.verify rebuilds
+n1 as well and checks all three.
 
 The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
 it splits into a prefix of k0 - 1 terms and one arithmetic run (see
@@ -225,30 +226,47 @@ def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
     return lhs == v * (lhs.shift(split.s, 0) + vkn2.shift(split.w0, 0))
 
 
-def _newton(step, cmax: int, dmax: int) -> BiSeries:
+def _newton(step, cmax: int, dmax: int,
+            seed: BiSeries | None = None) -> BiSeries:
     """The root of z = G(z) with z(x, 0) = 1, on the box (cmax, dmax).
 
-    z lives on the box (cmax, p-1) of its exact rows, starting from p = 1.
-    The precisions q are the halving ladder ceil((dmax+1) / 2^j) in
-    increasing order: dmax.bit_length() steps, each with q <= 2p, the last
-    ending at q = dmax+1.  A step zero-extends z to the box (cmax, q-1)
-    that it makes exact; step(z, e) returns G(z) on that box and G'(z)
-    on the box (cmax, e), e = q-p-1.  The numerator G(z) - z has
-    y-valuation >= p, so rows < q of the quotient need the denominator
-    1 - G'(z) only through row e, and G' has y-valuation >= 1, so that
-    denominator has constant term 1.
+    z lives on the box (cmax, p-1) of its exact rows, starting from p = 1,
+    or from a seed's p = seed.dmax + 1 rows (2 <= p <= dmax).  The
+    precisions q are the halving ladder ceil((dmax+1) / 2^j) in
+    increasing order, from the first one above p: dmax.bit_length() steps
+    from p = 1, each with q <= 2p (the rung below q is at most p), the
+    last ending at q = dmax+1.  A step zero-extends z to the box
+    (cmax, q-1) that it makes exact; step(z, e) returns G(z) on that box
+    and G'(z) on the box (cmax, e), e = q-p-1.  The numerator G(z) - z
+    has y-valuation >= p, so rows < q of the quotient need the
+    denominator 1 - G'(z) only through row e, and G' has y-valuation
+    >= 1, so that denominator has constant term 1.
+
+    Row d of G(z) depends on rows < d of z only, so rows < p of G(z) - z
+    vanish exactly when the seed's p rows are those of the root, by
+    induction on d.  The first seeded step checks this; if it fails, the
+    seed is dropped and the ladder runs from p = 1.
     """
     ladder, n = [], dmax + 1
     while n > 1:
         ladder.append(n)
         n = (n + 1) // 2
     z, p = BiSeries.one(cmax, 0), 1
+    if seed is not None:
+        z, p = seed, seed.dmax + 1
     for q in reversed(ladder):
+        if q <= p:
+            continue
         e = q - p - 1
         z = z.pad(q - 1)
         g, dg = step(z, e)
+        num = g - z
+        if seed is not None:
+            if not num.crop(cmax, p - 1).is_zero():
+                return _newton(step, cmax, dmax)
+            seed = None
         den = (BiSeries.one(cmax, e) - dg).pad(q - 1)
-        z = z + (g - z).divide(den)
+        z = z + num.divide(den)
         p = q
     return z
 
@@ -300,8 +318,10 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     """Solve the three-equation system on the box (cmax, dmax).
 
     n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
-    then n1 = 1 + y n2^4 and n3 = n2 / n1 on the full box.  Returns the
-    unique solution with nonnegative coefficients.  n2 = n1 n3 (a
+    started from the exact leading rows of a cached n2 of the same rule
+    when the cache holds one (see _seed), then n1 = 1 + y n2^4 and
+    n3 = n2 / n1 on the full box.  Returns the unique solution with
+    nonnegative coefficients, whatever the cache holds.  n2 = n1 n3 (a
     product, which checks the quotient), the meeting-point equation and
     nonnegativity are always checked on the full box (_check_solved),
     which raises NegativeCoefficientError if any count comes out
@@ -310,8 +330,10 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
-    split = _tail_split(conv.table(dmax), cmax, dmax)
-    n2 = _newton(_system_step(split), cmax, dmax)
+    weights = conv.table(dmax)
+    split = _tail_split(weights, cmax, dmax)
+    seed = _seed(conv.name, tuple(weights), cmax, dmax)
+    n2 = _newton(_system_step(split), cmax, dmax, seed)
     n1 = _n1_of(n2)
     n3 = n2.divide(n1)
     _check_solved(n1, n2, n3, split)
@@ -365,7 +387,9 @@ def cached_solution(convention: str | CodimWeight, cmax: int,
     """solve_system with reuse: a cached solution on a covering box serves
     a smaller query under the same convention name when their validated
     weight tables agree through the query's degree (rows d <= dmax depend
-    on weight(k) for k <= dmax only)."""
+    on weight(k) for k <= dmax only).  A miss is solved by solve_system,
+    whose Newton iteration starts from the cached n2 that gives it the
+    most exact leading rows (see _seed)."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
     conv = get_convention(convention)
@@ -383,6 +407,38 @@ def cached_solution(convention: str | CodimWeight, cmax: int,
             del _cache[key]
         _cache[(conv.name, weights, cmax, dmax)] = solution
     return solution
+
+
+def _seed(name: str, weights: tuple[int, ...], cmax: int,
+          dmax: int) -> BiSeries | None:
+    """The leading rows of a cached n2 to start Newton from on the box
+    (cmax, dmax), or None when no cached box gives 2 rows or more.
+
+    A box (cm, dm) at least as wide gives its rows d < min(dm+1, dmax),
+    cropped to cmax: rows and columns of n2 depend on lower ones only.  A
+    narrower box gives its rows before the first whose top column c = cm
+    is nonzero, widened with zero columns: n2's row support grows with d,
+    so these rows are expected to have no terms above cm on the wider box
+    either.  The first Newton step checks that; a rule whose rows have
+    gaps in their support, such as weight(k) = k^2, can fail it.  The
+    cached rule must have the same name and the same weights through the
+    rows given (row d depends on weight(k) for k <= d only).  The most
+    rows win.
+    """
+    best, rows = None, 1
+    for (nm, ws, cm, dm), sol in list(_cache.items()):
+        if nm != name:
+            continue
+        p = min(dm + 1, dmax)
+        if cm < cmax:
+            p = next((d for d in range(p) if sol.n2.coeff(cm, d)), p)
+        if p > rows and ws[:p] == weights[:p]:
+            best, rows = sol.n2, p
+    if best is None:
+        return None
+    low = best.crop(min(best.cmax, cmax), rows - 1)
+    return BiSeries.from_terms(cmax, rows - 1,
+                               {(c, d): v for c, d, v in low.terms()})
 
 
 def clear_cache() -> None:

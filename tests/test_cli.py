@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from forestcount import cli, solver
 from forestcount.cli import main
-from forestcount.formulas import codim1_count, flat_count, simple_count
+from forestcount.formulas import (asymptotic_estimate, asymptotic_log,
+                                  codim1_count, flat_count, simple_count)
 from forestcount.solver import cached_solution
 from forestcount.tables import CountTable
 
@@ -189,6 +191,60 @@ def test_table_prints_counts_past_the_digit_limit(capsys):
         values = json.loads(out)["tables"][0]["values"]
     assert values == [[flat_count(d) for d in range(701)],
                       [codim1_count(d) for d in range(701)]]
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_document_is_strict_json(tmp_path, capsys):
+    # every --format json or jsonl invocation of the golden file that is
+    # not a usage error (those write nothing to stdout), plus the
+    # documents written with --dump or --artifact and the estimates that
+    # leave the float range (codim 1 from about degree 310 on)
+    argvs = [case["argv"] for case in
+             json.loads(GOLDEN.read_text(encoding="utf-8"))
+             if {"json", "jsonl"} & set(case["argv"]) and case["exit"] != 1]
+    dump = tmp_path / "dump.json"
+    argvs += [["oracle", "--degree", "2", "--dump", str(dump),
+               "--format", "json"],
+              ["table", "--route", "dp", "--cmax", "2", "--dmax", "4",
+               "--format", "json"],
+              ["asymptotics", "--codim", "1", "--degree", "400",
+               "--format", "json"],
+              ["asymptotics", "--codim", "0", "--degree", "1200",
+               "--format", "json"]]
+    for argv in argvs:
+        main(argv)
+        out = capsys.readouterr().out
+        docs = out.splitlines() if "jsonl" in argv else [out]
+        assert [strict_json(doc) for doc in docs], argv
+    assert strict_json(dump.read_text(encoding="utf-8"))
+    code, out = run(capsys, "verify", "--only", "cross-routes", "--format",
+                    "jsonl", "--artifact", "-")
+    report, artifact = out.split("\n", 1)
+    assert strict_json(report)["check"] == "cross-routes"
+    assert strict_json(artifact)
+    doc = strict_json(run(capsys, "asymptotics", "--codim", "1", "--degree",
+                          "400", "--format", "json")[1])
+    assert doc["estimate"] is None
+    assert doc["log_estimate"] == asymptotic_log(1, 400)
+
+
+def test_asymptotics_text_past_the_float_range(capsys):
+    code, out = run(capsys, "asymptotics", "--codim", "1", "--degree", "400")
+    assert code == 0
+    assert "inf" not in out
+    line = next(s for s in out.splitlines() if s.startswith("asymptotic"))
+    mantissa, exponent = line.split()[-1].split("e+")
+    assert int(exponent) == math.floor(asymptotic_log(1, 400) / math.log(10))
+    assert 1 <= float(mantissa) < 10
+    # the text form of a finite estimate is unchanged
+    code, out = run(capsys, "asymptotics", "--codim", "1", "--degree", "200")
+    assert f"asymptotic estimate {asymptotic_estimate(1, 200):.6e}\n" in out
 
 
 def test_asymptotics_degenerate_input(capsys):

@@ -4,8 +4,9 @@ import pytest
 
 from forestcount.formulas import (DivisibilityError, asymptotic_estimate,
                                   asymptotic_log, asymptotic_ratio,
-                                  codim1_count, flat_count, fuss_convolution,
-                                  multinomial, simple_count)
+                                  codim1_count, codim1_row, flat_count,
+                                  flat_row, fuss_convolution, multinomial,
+                                  simple_count)
 
 
 def test_flat_count_small_values():
@@ -24,6 +25,15 @@ def test_codim1_count():
     assert codim1_count(3) == 48
     for d in range(2, 30):
         assert codim1_count(d) == 4 * math.comb(4 * d, d - 2)
+
+
+def test_rows_by_ratio_updates_match_every_cell():
+    flat, codim1 = flat_row(400), codim1_row(400)
+    assert flat == [flat_count(d) for d in range(401)]
+    assert codim1 == [codim1_count(d) for d in range(401)]
+    for dmax in range(4):
+        assert flat_row(dmax) == flat[:dmax + 1]
+        assert codim1_row(dmax) == codim1[:dmax + 1]
 
 
 def test_simple_count_examples():

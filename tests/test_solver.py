@@ -295,15 +295,29 @@ def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
     # n1 and n3 are built from a bumped n2 on the solve path itself, so
-    # the first two equations hold and only the meeting-point one fails
-    newton = solver._newton
+    # the first two equations hold and only the meeting-point one fails,
+    # on the cold path (an empty cache) and on the seeded one (a cache
+    # miss above a cached box)
+    newton, seeds = solver._newton, []
+
+    def bumped(step, cmax, dmax, seed=None):
+        seeds.append(seed)
+        return newton(step, cmax, dmax, seed) + bump
+
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
         bump = BiSeries.monomial(8, 8, c, d)
-        monkeypatch.setattr(
-            solver, "_newton",
-            lambda step, cmax, dmax: newton(step, cmax, dmax) + bump)
+        clear_cache()
+        monkeypatch.setattr(solver, "_newton", bumped)
+        seeds.clear()
         with pytest.raises(SolverError, match="meeting-point"):
             solve_system(conv, 8, 8)
+        monkeypatch.setattr(solver, "_newton", newton)
+        low = cached_solution(conv, 8, 5).n2
+        monkeypatch.setattr(solver, "_newton", bumped)
+        with pytest.raises(SolverError, match="meeting-point"):
+            cached_solution(conv, 8, 8)
+        assert seeds == [None, low]
+    clear_cache()
 
 
 def test_solve_path_rejects_another_conventions_root(monkeypatch):
@@ -496,3 +510,105 @@ def test_warm_cache_rejects_negative_boxes():
     for cmax, dmax in ((-1, 3), (2, -1)):
         with pytest.raises(ValueError):
             cached_solution("odd", cmax, dmax)
+
+
+# ----------------------------------------------------------------------
+# warm start: a cache miss seeds Newton from a cached n2
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The seed rows of each _newton call, None for a cold start; a seed
+    that fails its first step shows as its row count, then None."""
+    newton, calls = solver._newton, []
+
+    def spy(step, cmax, dmax, seed=None):
+        calls.append(None if seed is None else seed.dmax + 1)
+        return newton(step, cmax, dmax, seed)
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    return calls
+
+
+SEEDED_RULES = [ODD, LINEAR, RULES[2], RULES[4], EDGE_RULES[0]]
+
+
+@pytest.mark.parametrize("conv", SEEDED_RULES,
+                         ids=[r.name for r in SEEDED_RULES])
+def test_seeded_solves_match_cold_solves(conv, newton_calls):
+    # a frontier sweep as in a count session, then tall, narrow boxes
+    # followed by wide ones, which may seed only from their low rows;
+    # solve_system reads the cache but does not fill it, so it solves
+    # cold from an empty one
+    sweeps = ([(2 * f - 1, f) for f in range(2, 11)],
+              [(0, 12), (1, 12), (3, 4), (10, 6), (12, 8), (16, 10)])
+    for sweep in sweeps:
+        clear_cache()
+        colds = [solve_system(conv, *box) for box in sweep]
+        assert newton_calls == [None] * len(sweep)
+        newton_calls.clear()
+        for box, cold in zip(sweep, colds):
+            sol = cached_solution(conv, *box)
+            assert (sol.n1, sol.n2, sol.n3) == (cold.n1, cold.n2, cold.n3), box
+        assert any(p is not None for p in newton_calls)
+        newton_calls.clear()
+    clear_cache()
+
+
+@pytest.mark.parametrize("conv", [ODD, LINEAR], ids=["odd", "linear"])
+def test_a_bumped_seed_falls_back_to_the_cold_ladder(conv, newton_calls):
+    step = solver._system_step(_tail_split(conv.table(8), 8, 8))
+    clear_cache()
+    cold = solve_system(conv, 8, 8).n2
+    for bump in (None, (0, 0), (0, 1), (3, 2), (8, 4)):
+        seed = cold.crop(8, 4)
+        if bump:
+            seed = seed + BiSeries.monomial(8, 4, *bump)
+        newton_calls.clear()
+        assert solver._newton(step, 8, 8, seed) == cold, bump
+        assert newton_calls == ([5, None] if bump else [5]), bump
+
+
+def test_seeded_ladder_climbs_the_rungs_above_the_seed():
+    deep = solve_simple(0, 40)
+    for dmax in range(2, 41):
+        steps = []
+
+        def spy(z, e):
+            q = z.dmax + 1
+            steps.append((q - e - 1, q))
+            return _simple_step(z, e)
+
+        _newton(spy, 0, dmax)
+        rungs = [q for _, q in steps]
+        for p in range(2, dmax + 1):
+            steps.clear()
+            assert _newton(spy, 0, dmax, deep.crop(0, p - 1)) == \
+                deep.crop(0, dmax), (dmax, p)
+            chain = [p] + [q for _, q in steps]
+            assert steps == list(zip(chain, chain[1:])), (dmax, p)
+            assert chain[1:] == [q for q in rungs if q > p], (dmax, p)
+            assert all(q <= 2 * p for p, q in steps), (dmax, steps)
+
+
+def test_cache_never_seeds_from_another_weight_table(newton_calls):
+    # the same name with weight(1) = 2: no row past 0 is shared
+    other = CodimWeight("odd", lambda k: 2 * k)
+    late = CodimWeight("odd", lambda k: 2 * k - 1 if k <= 3 else 2 * k)
+    clear_cache()
+    cold_other, cold_late = (solve_system(conv, 6, 8) for conv in (other, late))
+    cached_solution("odd", 6, 4)
+    newton_calls.clear()
+    assert cached_solution(other, 6, 8).n2 == cold_other.n2
+    assert newton_calls == [None]
+    # a rule that leaves odd at k = 4 may take rows d <= 3 of an odd box,
+    # not the 7 rows of odd (6,6)
+    for dm, seeds in ((6, [None]), (3, [4])):
+        clear_cache()
+        cached_solution("odd", 6, dm)
+        newton_calls.clear()
+        sol = cached_solution(late, 6, 8)
+        assert (sol.n1, sol.n2, sol.n3) == \
+            (cold_late.n1, cold_late.n2, cold_late.n3)
+        assert newton_calls == seeds, dm
+    clear_cache()

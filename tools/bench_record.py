@@ -46,8 +46,12 @@ n1/n2/n3 rows for odd and linear at (64,32), (47,24), (40,20) and
 (0,30), for odd (30,60) and (120,60), where the `_pack` memo evicts
 during the solve, for weight(k) = k^2 at (40,20), a rule that never
 becomes arithmetic and so makes the most products per Newton step, and
-of solve_simple(20,40); the exit code and SHA-256 of the default
-`forestcount verify --format jsonl`; whether
+of solve_simple(20,40); the same digests of the frontier boxes
+(2F-1, F) that a count session asks, asked in order through
+cached_solution from an empty cache, so that each miss may start Newton
+from the box before it: F = 2..24 for odd and linear, and F = 2..16 for
+k^2, whose seeds often fail Newton's first-step check; the exit code
+and SHA-256 of the default `forestcount verify --format jsonl`; whether
 `verify --only cross-routes --artifact -` writes the checkout's
 committed route_agreement.json; and the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
@@ -237,7 +241,8 @@ def child(checkout: Path, code: str, *args: str):
 DIGEST_CHILD = r"""
 import contextlib, hashlib, io, json, pathlib
 from forestcount.cli import main
-from forestcount.solver import CodimWeight, solve_simple, solve_system
+from forestcount.solver import (CodimWeight, cached_solution, clear_cache,
+                                solve_simple, solve_system)
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -258,8 +263,16 @@ boxes = [(conv, cmax, dmax) for conv in ("odd", "linear")
 for conv, cmax, dmax in boxes + [("odd", 30, 60), ("odd", 120, 60)]:
     sol = solve_system(conv, cmax, dmax)
     lines[f"{conv} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
-sol = solve_system(CodimWeight("square", lambda k: k * k), 40, 20)
+square = CodimWeight("square", lambda k: k * k)
+sol = solve_system(square, 40, 20)
 lines["k^2 (40,20) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
+for name, conv, top in (("odd", "odd", 24), ("linear", "linear", 24),
+                        ("k^2", square, 16)):
+    clear_cache()
+    for f in range(2, top + 1):
+        sol = cached_solution(conv, 2 * f - 1, f)
+        lines[f"sweep {name} (2F-1,F) F={f}"] = rows(sol.n1, sol.n2, sol.n3)
+clear_cache()
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
 code, out = cli("verify", "--format", "jsonl")
 lines["verify --format jsonl"] = f"exit {code} {sha(out)}"
