@@ -23,7 +23,6 @@ default 200000 cells) exit 3.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import math
 import os
@@ -118,15 +117,16 @@ def _emit(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _finish(args, doc, text: str, ok: bool = True) -> int:
-    """Write doc as JSON (a list of reports as JSONL) or the text, as
-    --format asks, and map ok to exit 0 or 2."""
+def _finish(args, doc, text, ok: bool = True) -> int:
+    """Write doc as JSON (a list of reports as JSONL) or the text that
+    text() builds, as --format asks, and map ok to exit 0 or 2.  text is
+    called only when the text form is written."""
     if args.format == "jsonl":
         body = "\n".join(json.dumps(rep) for rep in doc)
     elif args.format == "json":
         body = json.dumps(doc, indent=2)
     else:
-        body = text
+        body = text()
     _emit(body, args.output)
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
@@ -155,7 +155,7 @@ def cmd_count(args) -> int:
     for route, value in values.items():
         lines.append(f"  {route:<16} {value}")
     lines.append("routes agree" if agree else "ROUTES DISAGREE")
-    return _finish(args, doc, "\n".join(lines), agree)
+    return _finish(args, doc, lambda: "\n".join(lines), agree)
 
 
 def cmd_table(args) -> int:
@@ -180,13 +180,17 @@ def cmd_table(args) -> int:
         tables.append(CountTable.from_rows(rows, "n1", "closed-form"))
     doc = {"schema": "table-report@1",
            "tables": [t.to_json_dict() for t in tables]}
-    blocks = []
-    for t in tables:
-        head = f"# family={t.family} route={t.route}"
-        if t.convention:
-            head += f" convention={t.convention}"
-        blocks.append(head + "\n" + t.to_csv())
-    return _finish(args, doc, "\n".join(blocks))
+
+    def text():
+        blocks = []
+        for t in tables:
+            head = f"# family={t.family} route={t.route}"
+            if t.convention:
+                head += f" convention={t.convention}"
+            blocks.append(head + "\n" + t.to_csv())
+        return "\n".join(blocks)
+
+    return _finish(args, doc, text)
 
 
 def cmd_simple(args) -> int:
@@ -206,7 +210,8 @@ def cmd_simple(args) -> int:
            "mismatches": mismatches[:20]}
     status = ("solver route matches closed form" if not mismatches
               else f"ROUTES DISAGREE on {len(mismatches)} cells")
-    return _finish(args, doc, table.to_csv() + status, not mismatches)
+    return _finish(args, doc, lambda: table.to_csv() + status,
+                   not mismatches)
 
 
 def cmd_asymptotics(args) -> int:
@@ -224,12 +229,17 @@ def cmd_asymptotics(args) -> int:
     doc = {"schema": "asymptotics-report@1", "codim": c, "degree": d,
            "exact": str(exact), "estimate": estimate if finite else None,
            "log_estimate": log, "exact_over_estimate": ratio}
-    shown = estimate if finite else decimal.Context().exp(decimal.Decimal(log))
-    return _finish(args, doc, "\n".join([
-        f"exact simple count  {exact}",
-        f"asymptotic estimate {shown:.6e}",
-        f"exact / estimate    {ratio:.6f}",
-    ]))
+
+    def text():
+        shown = estimate
+        if not finite:
+            import decimal  # only for estimates past the float range
+            shown = decimal.Context().exp(decimal.Decimal(log))
+        return "\n".join([f"exact simple count  {exact}",
+                          f"asymptotic estimate {shown:.6e}",
+                          f"exact / estimate    {ratio:.6f}"])
+
+    return _finish(args, doc, text)
 
 
 def cmd_oracle(args) -> int:
@@ -246,7 +256,7 @@ def cmd_oracle(args) -> int:
            "agree": agree}
     text = (f"degree {d}: enumerated {len(diagrams)}, "
             f"closed form {expected}, {'agree' if agree else 'DISAGREE'}")
-    return _finish(args, doc, text, agree)
+    return _finish(args, doc, lambda: text, agree)
 
 
 def _check_line(rep: dict) -> str:
@@ -293,7 +303,7 @@ def cmd_verify(args) -> int:
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]
     lines.append("all checks passed" if ok else "SUITE FAILED")
-    code = _finish(args, reports, "\n".join(lines), ok)
+    code = _finish(args, reports, lambda: "\n".join(lines), ok)
     if args.artifact:
         doc = route_agreement_document(args.cross_cmax, args.cross_dmax)
         _emit(json.dumps(doc, indent=2) + "\n", args.artifact)

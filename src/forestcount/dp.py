@@ -17,7 +17,7 @@ which the guard would otherwise misreport.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .solver import CONVENTIONS, cached_solution
 

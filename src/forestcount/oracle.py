@@ -29,25 +29,23 @@ scratch so the two sides stay independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_ORACLE_DEGREE = 6
 
 Chord = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(namedtuple("ChordDiagram",
+                              "degree odd_chords even_chords crossings")):
     """A flat configuration candidate: chords plus its crossing pairing.
 
-    crossings pairs each odd chord with an even chord, stored as
-    (odd_chord, even_chord) tuples; chords are (low, high) endpoint pairs.
+    odd_chords and even_chords are tuples of chords, (low, high) endpoint
+    pairs; crossings pairs each odd chord with an even chord, stored as
+    (odd_chord, even_chord) tuples.
     """
 
-    degree: int
-    odd_chords: tuple[Chord, ...]
-    even_chords: tuple[Chord, ...]
-    crossings: tuple[tuple[Chord, Chord], ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, Sequence
 
 # Packed rows kept by `_pack`, least recently used evicted first.  An
 # odd (64,32) solve packs 919 distinct (row, width) pairs and a linear

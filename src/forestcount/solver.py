@@ -40,9 +40,8 @@ that stay in the box (see _below).
 from __future__ import annotations
 
 import threading
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import Counter, namedtuple
+from collections.abc import Callable
 
 from .series import BiSeries
 
@@ -55,18 +54,40 @@ class NegativeCoefficientError(SolverError):
     """A negative count appeared; signals a wrong convention or recurrence."""
 
 
-@dataclass(frozen=True)
 class CodimWeight:
     """A named rule assigning a local codimension exponent to k >= 1.
 
     k is the number of even lines at the first base-line meeting point.
     weight must be nondecreasing with weight(k) >= 1; the built-in
     conventions additionally satisfy weight(1) = 1 (a simple tangency
-    has codimension 1).
+    has codimension 1).  Immutable; equality and hash use the name only.
     """
 
-    name: str
-    weight: Callable[[int], int] = field(compare=False)
+    __slots__ = ("name", "weight")
+
+    def __init__(self, name: str, weight: Callable[[int], int]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weight", weight)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"CodimWeight(name={self.name!r}, weight={self.weight!r})"
+
+    def __reduce__(self):   # copy and pickle rebuild through __init__
+        return CodimWeight, (self.name, self.weight)
 
     def table(self, kmax: int) -> list[int]:
         """weight(1..kmax) as a list (index 0 unused), validated."""
@@ -99,13 +120,10 @@ def get_convention(conv: str | CodimWeight) -> CodimWeight:
         raise ValueError(f"unknown convention {conv!r} (built-ins: {names})")
 
 
-class TailSplit(NamedTuple):
+class TailSplit(namedtuple("TailSplit", "prefix k0 w0 s")):
     """T(t) = sum_{k<k0} x^prefix[k-1] t^k + x^w0 t^k0 / (1 - x^s t)."""
 
-    prefix: tuple[int, ...]
-    k0: int
-    w0: int
-    s: int
+    __slots__ = ()
 
 
 def _tail_split(weights: list[int], cmax: int, dmax: int) -> TailSplit:
@@ -167,15 +185,12 @@ def _below(z: BiSeries, k: int) -> BiSeries:
     return z.crop(z.cmax, max(z.dmax - k, 0))
 
 
-@dataclass(frozen=True)
-class SystemSolution:
-    """Solved (n1, n2, n3) triple on a box, under one weight convention."""
+class SystemSolution(namedtuple("SystemSolution",
+                                "n1 n2 n3 convention box")):
+    """Solved (n1, n2, n3) triple on a box (cmax, dmax), under one weight
+    convention (a CodimWeight)."""
 
-    n1: BiSeries
-    n2: BiSeries
-    n3: BiSeries
-    convention: CodimWeight
-    box: tuple[int, int]
+    __slots__ = ()
 
     def verify(self) -> None:
         """Re-check the three defining equations and nonnegativity."""
@@ -244,8 +259,10 @@ def _newton(step, cmax: int, dmax: int,
 
     Row d of G(z) depends on rows < d of z only, so rows < p of G(z) - z
     vanish exactly when the seed's p rows are those of the root, by
-    induction on d.  The first seeded step checks this; if it fails, the
-    seed is dropped and the ladder runs from p = 1.
+    induction on d.  The first seeded step checks this.  If row m < p is
+    the first nonzero one, the same induction shows the seed's rows < m
+    exact: the ladder restarts from them when m >= 2, and from p = 1
+    otherwise.
     """
     ladder, n = [], dmax + 1
     while n > 1:
@@ -262,8 +279,10 @@ def _newton(step, cmax: int, dmax: int,
         g, dg = step(z, e)
         num = g - z
         if seed is not None:
-            if not num.crop(cmax, p - 1).is_zero():
-                return _newton(step, cmax, dmax)
+            m = next((d for _, d, _ in num.terms()), q)  # first nonzero row
+            if m < p:
+                return _newton(step, cmax, dmax,
+                               z.crop(cmax, m - 1) if m >= 2 else None)
             seed = None
         den = (BiSeries.one(cmax, e) - dg).pad(q - 1)
         z = z + num.divide(den)

@@ -4,24 +4,22 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 TABLE_SCHEMA = "count-table@1"
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "values family route convention",
+                            defaults=(None,))):
     """Rectangular table of exact counts, entry [c][d], plus provenance.
 
-    family names which counting series the values come from (n1, n2, n3
-    or n4); route records how they were computed (solver, dp, closed-form
-    or oracle); convention is the weight-convention name where relevant.
+    values is a tuple of row tuples; family names which counting series
+    the values come from (n1, n2, n3 or n4); route records how they were
+    computed (solver, dp, closed-form or oracle); convention is the
+    weight-convention name where relevant, else None.
     """
 
-    values: tuple[tuple[int, ...], ...]
-    family: str
-    route: str
-    convention: str | None = None
+    __slots__ = ()
 
     @property
     def cmax(self) -> int:

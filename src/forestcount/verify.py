@@ -21,8 +21,6 @@ locates the row-sum growth rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import comb
 
@@ -50,11 +48,37 @@ def _report(check: str, status: str, offending=None, **details) -> dict:
 # integer polynomials in x, y, z
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ZPolynomial:
-    """Sum of terms coeff * x^a y^b z^e with integer coefficients."""
+    """Sum of terms coeff * x^a y^b z^e with integer coefficients.
 
-    terms: tuple[tuple[int, int, int, int], ...]
+    terms is a tuple of (a, b, e, coeff); equality and hash use it.  The
+    polynomial is immutable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"ZPolynomial(terms={self.terms!r})"
+
+    def __reduce__(self):   # copy and pickle rebuild through __init__
+        return ZPolynomial, (self.terms,)
 
     @classmethod
     def from_terms(cls, terms) -> "ZPolynomial":
@@ -148,8 +172,9 @@ def derived_q() -> ZPolynomial:
     return P_MIN.subs_x(1)
 
 
-def r_eval(y: Fraction) -> Fraction:
-    acc = Fraction(0)
+def r_eval(y):
+    """R(y) by Horner's rule, exact for a fractions.Fraction y."""
+    acc = 0
     for co in reversed(R_COEFFS):
         acc = acc * y + co
     return acc
@@ -269,6 +294,7 @@ def growth_constant(abs_tol: float = 1e-12) -> float:
     bracket is exact no matter the coefficient magnitudes; abs_tol bounds
     the width of the final bracket around y0.
     """
+    from fractions import Fraction  # only this check needs it
     lo, hi = Fraction(0), Fraction(1)
     if r_eval(lo) >= 0 or r_eval(hi) <= 0:
         raise ArithmeticError("no sign change on (0, 1); bad transcription")

@@ -294,6 +294,20 @@ def spy_on(monkeypatch, module, name):
     return calls
 
 
+def test_json_output_builds_no_csv(monkeypatch, capsys):
+    # the CSV text is built only when it is written
+    calls = spy_on(monkeypatch, CountTable, "to_csv")
+    commands = [["table", "--cmax", "1", "--dmax", "6", "--route", route]
+                for route in ("solver", "dp", "closed-form")]
+    commands.append(["simple", "--cmax", "2", "--dmax", "6"])
+    for argv in commands:
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+        assert calls == [], argv
+        assert run(capsys, *argv, "--format", "csv")[0] == 0
+        assert calls, argv
+        calls.clear()
+
+
 def test_oracle_dump_to_unwritable_path_is_an_error(tmp_path, monkeypatch,
                                                     capsys):
     # the path is opened before the diagrams are enumerated

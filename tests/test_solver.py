@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 
 import pytest
@@ -115,12 +114,12 @@ def test_verify_rejects_perturbed_solutions():
         bump = BiSeries.monomial(6, 6, c, d)
         for name, message in (("n1", "n1 = 1"), ("n2", n2_message),
                               ("n3", "n2 = n1 n3")):
-            bad = dataclasses.replace(sol, **{name: getattr(sol, name) + bump})
+            bad = sol._replace(**{name: getattr(sol, name) + bump})
             with pytest.raises(SolverError, match=message):
                 bad.verify()
     # odd and linear part ways at (4, 4): only the meeting-point tail sees it
     with pytest.raises(SolverError, match="meeting-point"):
-        dataclasses.replace(sol, convention=LINEAR).verify()
+        sol._replace(convention=LINEAR).verify()
 
 
 def test_solution_equations_hold_exactly():
@@ -259,7 +258,7 @@ def test_meeting_point_gate_rejects_every_bump(conv):
                 continue
             n2 = sol.n2 + BiSeries.monomial(cmax, 8, c, d)
             n1 = one + (n2 ** 4).shift(0, 1)
-            bad = dataclasses.replace(sol, n1=n1, n2=n2, n3=n2.divide(n1))
+            bad = sol._replace(n1=n1, n2=n2, n3=n2.divide(n1))
             with pytest.raises(SolverError, match="meeting-point"):
                 bad.verify()
 
@@ -519,7 +518,8 @@ def test_warm_cache_rejects_negative_boxes():
 @pytest.fixture
 def newton_calls(monkeypatch):
     """The seed rows of each _newton call, None for a cold start; a seed
-    that fails its first step shows as its row count, then None."""
+    that fails its first step shows as its row count, then as the rows
+    it restarts from (None when fewer than 2 rows are exact)."""
     newton, calls = solver._newton, []
 
     def spy(step, cmax, dmax, seed=None):
@@ -556,17 +556,21 @@ def test_seeded_solves_match_cold_solves(conv, newton_calls):
 
 
 @pytest.mark.parametrize("conv", [ODD, LINEAR], ids=["odd", "linear"])
-def test_a_bumped_seed_falls_back_to_the_cold_ladder(conv, newton_calls):
+def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
+    # a bump in row m leaves the seed's rows < m exact: the ladder restarts
+    # from them when m >= 2, and cold otherwise
     step = solver._system_step(_tail_split(conv.table(8), 8, 8))
     clear_cache()
     cold = solve_system(conv, 8, 8).n2
-    for bump in (None, (0, 0), (0, 1), (3, 2), (8, 4)):
+    for bump, calls in ((None, [5]), ((0, 0), [5, None]), ((0, 1), [5, None]),
+                        ((3, 1), [5, None]), ((3, 2), [5, 2]),
+                        ((8, 4), [5, 4])):
         seed = cold.crop(8, 4)
         if bump:
             seed = seed + BiSeries.monomial(8, 4, *bump)
         newton_calls.clear()
         assert solver._newton(step, 8, 8, seed) == cold, bump
-        assert newton_calls == ([5, None] if bump else [5]), bump
+        assert newton_calls == calls, bump
 
 
 def test_seeded_ladder_climbs_the_rungs_above_the_seed():

@@ -57,9 +57,11 @@ committed route_agreement.json; and the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
 the JSON output of `count --codim c --degree 12` for c = 0, 1, 2,
 `table --route closed-form --cmax 1 --dmax 30`, `asymptotics --codim 1
---degree 200` and `simple --cmax 6 --dmax 20`; and the exit codes of the
+--degree 200` and `simple --cmax 6 --dmax 20`; the exit codes of the
 usage errors `verify --only bogus` and `asymptotics --codim 0 --degree
-0`.  Digests are shown by their first 16 hex digits.  It marks each line
+0`; and the exit code and SHA-256 of `forestcount --help` and of each
+subcommand's `--help`, with COLUMNS=80 so that the help width is fixed.
+Digests are shown by their first 16 hex digits.  It marks each line
 where the checkouts differ with DIFFERS and exits 1 if any does.
 
 Standard library only.
@@ -239,7 +241,7 @@ def child(checkout: Path, code: str, *args: str):
 
 
 DIGEST_CHILD = r"""
-import contextlib, hashlib, io, json, pathlib
+import contextlib, hashlib, io, json, os, pathlib
 from forestcount.cli import main
 from forestcount.solver import (CodimWeight, cached_solution, clear_cache,
                                 solve_simple, solve_system)
@@ -254,7 +256,10 @@ def cli(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:           # --help
+            code = exc.code
     return code, out.getvalue()
 
 lines = {}
@@ -293,6 +298,11 @@ for command in commands:
     lines[command] = f"exit {code} {sha(out)}"
 for command in ("verify --only bogus", "asymptotics --codim 0 --degree 0"):
     lines[command] = f"exit {cli(*command.split())[0]}"
+os.environ["COLUMNS"] = "80"
+for command in ("", "count", "table", "simple", "asymptotics", "oracle",
+                "verify"):
+    code, out = cli(*command.split(), "--help")
+    lines[f"{command or 'forestcount'} --help"] = f"exit {code} {sha(out)}"
 print(json.dumps(lines))
 """
 
