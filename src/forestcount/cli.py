@@ -18,6 +18,12 @@ agreement and 2 on a verified disagreement (disagreement is a reported
 result, distinct from a usage error, which exits 1).  Boxes larger than
 the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
+
+`table` and `count` solve each convention after the first in a forked
+worker, side by side, when fork exists, two CPUs or more are ours, no
+other thread runs and the box's cells inside the support bound c <= 2d,
+each weighted by its degree plus one, sum to FORK_MIN_WEIGHT or more;
+otherwise one after the other.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 from .dp import dp_count, dp_table
 from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
@@ -44,6 +51,9 @@ EXIT_DISAGREEMENT = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_MAX_CELLS = 200_000
+# the box weight (see _fork_pays) from which a forked worker per
+# convention pays for itself (measured; see README "Performance notes")
+FORK_MIN_WEIGHT = 6000
 
 
 class UsageError(Exception):
@@ -107,6 +117,81 @@ def _conventions(choice: str) -> list[str]:
     return list(CONVENTIONS) if choice == "both" else [choice]
 
 
+def _fork_pays(cmax: int, dmax: int) -> bool:
+    """Whether solving conventions side by side on the box pays: its cells
+    inside the support bound c <= 2d, each weighted by d + 1 since a
+    coefficient's size grows linearly with its degree, sum to
+    FORK_MIN_WEIGHT or more; fork exists; at least two CPUs are ours; and
+    no other thread runs (main also runs inside other programs, and a
+    fork copies only the calling thread)."""
+    weight = sum((d + 1) * min(cmax + 1, 2 * d + 1) for d in range(dmax + 1))
+    return (weight >= FORK_MIN_WEIGHT
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _each_convention(names: list[str], work, cmax: int, dmax: int) -> list:
+    """[work(name) for name in names] on the box (cmax, dmax), with the
+    same results and the same first exception.
+
+    When _fork_pays, each name after the first goes to a forked worker,
+    which sends back work(name), or the exception it raised, pickled
+    through a pipe and leaves by os._exit, while this process does the
+    first; a name that finds no process to spare is done here, in turn.
+    A worker's payload is read whole before the worker is reaped, since
+    it can exceed the pipe's buffer; every worker is killed (a no-op once
+    its payload is read) and reaped before this returns.  Solutions a
+    worker caches stay in the worker."""
+    if len(names) < 2 or not _fork_pays(cmax, dmax):
+        return [work(name) for name in names]
+    import pickle
+    import signal
+
+    workers = {}  # name: (pid, read end of its pipe)
+    try:
+        for name in names[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: done here, in turn
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:  # the worker: nothing after fork returns here
+                try:
+                    os.close(r)
+                    try:
+                        payload = pickle.dumps((True, work(name)))
+                    except BaseException as exc:  # raised again by the parent
+                        payload = pickle.dumps((False, exc))
+                    with open(w, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            workers[name] = pid, open(r, "rb")
+        results = []
+        for name in names:
+            if name not in workers:
+                results.append(work(name))
+                continue
+            payload = workers[name][1].read()
+            if not payload:
+                raise ChildProcessError(
+                    f"the worker for convention {name} ended without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
@@ -139,9 +224,10 @@ def cmd_count(args) -> int:
     c, d = args.codim, args.degree
     _guard_box(c, d)
     _claim(args.output)
-    values: dict[str, int] = {}
-    for name in _conventions(args.convention):
-        values[f"solver[{name}]"] = count_configurations(c, d, name)
+    names = _conventions(args.convention)
+    counts = _each_convention(
+        names, lambda name: count_configurations(c, d, name), c, d)
+    values = {f"solver[{name}]": n for name, n in zip(names, counts)}
     values["dp"] = dp_count(c, d)
     if c == 0:
         values["closed-form"] = flat_count(d)
@@ -166,11 +252,13 @@ def cmd_table(args) -> int:
     _claim(args.output)
     tables: list[CountTable] = []
     if args.route == "solver":
-        for name in _conventions(args.convention):
-            # a cached solution may cover a larger box
-            n1 = cached_solution(name, cmax, dmax).n1.crop(cmax, dmax)
-            tables.append(CountTable.from_rows(n1.grid(), "n1", "solver",
-                                               name))
+        names = _conventions(args.convention)
+        # a cached solution may cover a larger box
+        grids = _each_convention(
+            names, lambda name: cached_solution(name, cmax, dmax)
+            .n1.crop(cmax, dmax).grid(), cmax, dmax)
+        tables += [CountTable.from_rows(grid, "n1", "solver", name)
+                   for name, grid in zip(names, grids)]
     elif args.route == "dp":
         tables.append(CountTable.from_rows(dp_table(cmax, dmax), "n1", "dp"))
     else:  # closed-form: only the c <= 1 rows have formulas
@@ -216,6 +304,7 @@ def cmd_simple(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     c, d = args.codim, args.degree
+    _guard_box(c, d)  # the cell ceiling that count applies to (c, d)
     if d < max(2 * c, 1):
         raise UsageError(f"no exact/estimate ratio at ({c},{d}); "
                          "need d >= max(2c, 1)")

@@ -1,7 +1,10 @@
 import contextlib
 import json
 import math
+import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,14 @@ def test_resource_guard_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("FORESTCOUNT_MAX_CELLS", "10")
     code = main(["table", "--cmax", "10", "--dmax", "10", "--format", "csv"])
     assert code == 3
+
+
+def test_asymptotics_guard_exits_3(monkeypatch, capsys):
+    # the cell ceiling of count at (c, d), checked before any work
+    assert main(["asymptotics", "--codim", "1", "--degree", "1000000"]) == 3
+    monkeypatch.setenv("FORESTCOUNT_MAX_CELLS", "10")
+    assert main(["asymptotics", "--codim", "1", "--degree", "50"]) == 3
+    assert "resource guard" in capsys.readouterr().err
 
 
 def test_table_csv_golden(capsys):
@@ -481,3 +492,132 @@ def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):
                      "--output", str(target)])
         assert code == 1, target
         assert capsys.readouterr().err.startswith("error: "), target
+
+
+# above the fork crossover, and both conventions: solved side by side
+BIG_TABLE = ["table", "--cmax", "48", "--dmax", "24", "--convention", "both",
+             "--format", "json"]
+BIG_COUNT = ["count", "--codim", "48", "--degree", "24", "--format", "json"]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+
+
+def two_cpus(monkeypatch, cpus=(0, 1)):
+    """Spy on os.fork, with os.sched_getaffinity reporting `cpus`; return
+    the list of fork calls."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+    return spy_on(monkeypatch, os, "fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("argv", [BIG_TABLE, BIG_COUNT],
+                         ids=["table", "count"])
+def test_forked_and_serial_runs_print_the_same(monkeypatch, capsys, argv):
+    forks = two_cpus(monkeypatch)
+    forked = run(capsys, *argv)
+    assert forked[0] == 0 and len(forks) == 1
+    assert_no_child_left()
+    two_cpus(monkeypatch, cpus=(0,))
+    assert run(capsys, *argv) == forked
+    assert len(forks) == 1
+
+
+def test_no_fork_below_the_crossover_beside_a_thread_or_without_fork(
+        monkeypatch, capsys):
+    forks = two_cpus(monkeypatch)
+    assert run(capsys, "table", "--cmax", "20", "--dmax", "10",
+               "--format", "json")[0] == 0
+    assert run(capsys, "count", "--codim", "20", "--degree", "10")[0] == 0
+    assert not cli._fork_pays(20, 10) and cli._fork_pays(48, 24)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not cli._fork_pays(48, 24)
+        assert run(capsys, *BIG_COUNT)[0] == 0
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert not cli._fork_pays(48, 24)
+    assert run(capsys, *BIG_COUNT)[0] == 0
+    assert forks == []
+
+
+def failing(monkeypatch, name, fail):
+    """Make the solve of convention `name`, in table and count, call
+    fail() instead."""
+    # where each takes the convention: (name, cmax, dmax) and (c, d, name)
+    for attr, at in (("cached_solution", 0), ("count_configurations", 2)):
+        real = getattr(cli, attr)
+
+        def solve(*args, real=real, at=at):
+            return fail() if args[at] == name else real(*args)
+
+        monkeypatch.setattr(cli, attr, solve)
+
+
+def boom():
+    raise ValueError("boom")
+
+
+@needs_fork
+@pytest.mark.parametrize("argv", [BIG_TABLE, BIG_COUNT],
+                         ids=["table", "count"])
+def test_a_failing_worker_fails_as_the_serial_loop(monkeypatch, capsys, argv):
+    failing(monkeypatch, "linear", boom)
+    forks = two_cpus(monkeypatch)
+    forked = main(argv), capsys.readouterr()
+    assert forks
+    assert_no_child_left()
+    two_cpus(monkeypatch, cpus=(0,))
+    assert (main(argv), capsys.readouterr()) == forked
+    assert forked[0] == 1 and forked[1] == ("", "error: boom\n")
+
+
+@needs_fork
+def test_a_failing_parent_kills_and_reaps_its_worker(monkeypatch, capsys):
+    failing(monkeypatch, "odd", boom)
+    failing(monkeypatch, "linear", lambda: time.sleep(60))
+    forks = two_cpus(monkeypatch)
+    start = time.perf_counter()
+    assert main(BIG_TABLE) == 1
+    assert time.perf_counter() - start < 30
+    assert forks and capsys.readouterr().err == "error: boom\n"
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_that_dies_is_an_error(monkeypatch, capsys):
+    failing(monkeypatch, "linear", lambda: os._exit(0))
+    two_cpus(monkeypatch)
+    assert main(BIG_COUNT) == 1
+    assert "worker for convention linear" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_failed_fork_solves_in_the_parent(monkeypatch, capsys):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    unforked = run(capsys, *BIG_COUNT)
+    two_cpus(monkeypatch, cpus=(0,))
+    assert run(capsys, *BIG_COUNT) == unforked and unforked[0] == 0
+
+
+@needs_fork
+def test_a_worker_payload_larger_than_a_pipe_buffer(monkeypatch):
+    forks = two_cpus(monkeypatch)
+    # about 480 KB pickled, against a pipe buffer of 64 KiB on Linux
+    rows = [[10 ** 40 + c * d for c in range(400)] for d in range(60)]
+    got = cli._each_convention(["odd", "linear"], lambda name: rows, 48, 24)
+    assert forks and got == [rows, rows]
+    assert_no_child_left()

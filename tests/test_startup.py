@@ -17,9 +17,10 @@ from forestcount.verify import ZPolynomial
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # stdlib modules that counting never uses; dataclasses alone pulls in
-# inspect, ast and dis
+# inspect, ast and dis.  pickle is loaded only when the CLI forks a
+# worker, never on import.
 UNUSED = ("dataclasses", "typing", "inspect", "ast", "dis", "fractions",
-          "decimal")
+          "decimal", "pickle", "multiprocessing")
 
 
 def loaded_after(code: str) -> set[str]:

@@ -57,7 +57,10 @@ committed route_agreement.json; and the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
 the JSON output of `count --codim c --degree 12` for c = 0, 1, 2,
 `table --route closed-form --cmax 1 --dmax 30`, `asymptotics --codim 1
---degree 200` and `simple --cmax 6 --dmax 20`; the exit codes of the
+--degree 200`, `simple --cmax 6 --dmax 20`, and of `table --cmax 64
+--dmax 32 --convention both` and `count --codim 48 --degree 24`, which
+the CLI solves in a forked worker per convention after the first on a
+machine with two CPUs or more; the exit codes of the
 usage errors `verify --only bogus` and `asymptotics --codim 0 --degree
 0`; and the exit code and SHA-256 of `forestcount --help` and of each
 subcommand's `--help`, with COLUMNS=80 so that the help width is fixed.
@@ -292,7 +295,9 @@ for d in range(5):
     lines[f"oracle --degree {d} --dump -"] = f"exit {code} {sha(out)}"
 commands = [f"count --codim {c} --degree 12" for c in range(3)] + [
     "table --route closed-form --cmax 1 --dmax 30",
-    "asymptotics --codim 1 --degree 200", "simple --cmax 6 --dmax 20"]
+    "asymptotics --codim 1 --degree 200", "simple --cmax 6 --dmax 20",
+    "table --cmax 64 --dmax 32 --convention both",
+    "count --codim 48 --degree 24"]
 for command in commands:
     code, out = cli(*command.split(), "--format", "json")
     lines[command] = f"exit {code} {sha(out)}"
