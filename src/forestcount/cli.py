@@ -19,11 +19,16 @@ result, distinct from a usage error, which exits 1).  Boxes larger than
 the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
 
-`table` and `count` solve each convention after the first in a forked
-worker, side by side, when fork exists, two CPUs or more are ours, no
-other thread runs and the box's cells inside the support bound c <= 2d,
-each weighted by its degree plus one, sum to FORK_MIN_WEIGHT or more;
-otherwise one after the other.
+When fork exists, two CPUs or more are ours and no other thread runs,
+work that splits into items is shared with one forked worker from both
+ends: this process takes items from the front of the list, the worker
+from the back, each claiming its next item under a lock until the ends
+meet, and the results are printed in list order.  `verify` splits its
+checks so whenever more than one runs; `table` and `count` split their
+conventions when the box's cells inside the support bound c <= 2d, each
+weighted by its degree plus one, sum to FORK_MIN_WEIGHT or more, so that
+with both conventions this process solves `odd` and the worker
+`linear`.  Otherwise the items are done one after the other.
 """
 
 from __future__ import annotations
@@ -117,79 +122,121 @@ def _conventions(choice: str) -> list[str]:
     return list(CONVENTIONS) if choice == "both" else [choice]
 
 
-def _fork_pays(cmax: int, dmax: int) -> bool:
-    """Whether solving conventions side by side on the box pays: its cells
-    inside the support bound c <= 2d, each weighted by d + 1 since a
-    coefficient's size grows linearly with its degree, sum to
-    FORK_MIN_WEIGHT or more; fork exists; at least two CPUs are ours; and
-    no other thread runs (main also runs inside other programs, and a
-    fork copies only the calling thread)."""
-    weight = sum((d + 1) * min(cmax + 1, 2 * d + 1) for d in range(dmax + 1))
-    return (weight >= FORK_MIN_WEIGHT
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+def _can_fork() -> bool:
+    """Whether a forked worker can run beside this process: fork and
+    memory files exist, at least two CPUs are ours, and no other thread
+    runs (main also runs inside other programs, and a fork copies only
+    the calling thread)."""
+    return (hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1)
 
 
-def _each_convention(names: list[str], work, cmax: int, dmax: int) -> list:
-    """[work(name) for name in names] on the box (cmax, dmax), with the
-    same results and the same first exception.
+def _fork_pays(cmax: int, dmax: int) -> bool:
+    """Whether solving conventions side by side on the box pays: its cells
+    inside the support bound c <= 2d, each weighted by d + 1 since a
+    coefficient's size grows linearly with its degree, sum to
+    FORK_MIN_WEIGHT or more, and _can_fork()."""
+    weight = sum((d + 1) * min(cmax + 1, 2 * d + 1) for d in range(dmax + 1))
+    return weight >= FORK_MIN_WEIGHT and _can_fork()
 
-    When _fork_pays, each name after the first goes to a forked worker,
-    which sends back work(name), or the exception it raised, pickled
-    through a pipe and leaves by os._exit, while this process does the
-    first; a name that finds no process to spare is done here, in turn.
-    A worker's payload is read whole before the worker is reaped, since
-    it can exceed the pipe's buffer; every worker is killed (a no-op once
-    its payload is read) and reaped before this returns.  Solutions a
-    worker caches stay in the worker."""
-    if len(names) < 2 or not _fork_pays(cmax, dmax):
-        return [work(name) for name in names]
+
+def _fork_map(items: list, work, fork: bool, noun: str) -> list:
+    """[work(item) for item in items], with the same results and the same
+    first exception.
+
+    When fork is true and there are two items or more, one forked worker
+    shares the list with this process, which takes items from the front
+    while the worker takes them from the back, so that neighbouring
+    items, which often share cached solutions, mostly stay in one
+    process.  Each starts with its end's item and claims the next under
+    a POSIX record lock on a memory file that holds the two ends; the
+    kernel drops the lock of a process that dies, so a dead holder never
+    stalls the other.  This process raises its first exception at once,
+    since every item before it was its own.  The worker stops at its
+    first exception and sends back its results and that exception,
+    pickled through a pipe, and leaves by os._exit; its payload is read
+    whole before it is reaped, since it can exceed the pipe's buffer.
+    The worker is killed (a no-op once its payload is read) and reaped
+    before this returns, and the solutions it caches stay in it.  A
+    worker that ends without a payload is an error naming the first item
+    it claimed, as `noun item`.  If fork fails, every item is done here."""
+    if len(items) < 2 or not fork:
+        return [work(item) for item in items]
+    import fcntl
     import pickle
     import signal
+    import struct
 
-    workers = {}  # name: (pid, read end of its pipe)
+    def claim(back: bool):
+        """The next item's index from the front or the back; None once
+        the ends meet."""
+        fcntl.lockf(ends, fcntl.LOCK_EX)
+        try:
+            front, end = struct.unpack("qq", os.pread(ends, 16, 0))
+            if front >= end:
+                return None
+            if back:
+                end -= 1
+                i = end
+            else:
+                i = front
+                front += 1
+            os.pwrite(ends, struct.pack("qq", front, end), 0)
+            return i
+        finally:
+            fcntl.lockf(ends, fcntl.LOCK_UN)
+
+    def run(i, back: bool, results: list) -> None:
+        """Do item i, then each item claimed from its end, into results."""
+        while i is not None:
+            results.append(work(items[i]))
+            i = claim(back)
+
+    # the next item from the front, and one past the next from the back
+    ends = os.memfd_create("forestcount-ends")
     try:
-        for name in names[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: done here, in turn
-                os.close(r)
-                os.close(w)
-                continue
-            if pid == 0:  # the worker: nothing after fork returns here
-                try:
-                    os.close(r)
-                    try:
-                        payload = pickle.dumps((True, work(name)))
-                    except BaseException as exc:  # raised again by the parent
-                        payload = pickle.dumps((False, exc))
-                    with open(w, "wb") as pipe:
-                        pipe.write(payload)
-                finally:
-                    os._exit(0)
+        os.pwrite(ends, struct.pack("qq", 1, len(items) - 1), 0)
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: all done here
+            os.close(r)
             os.close(w)
-            workers[name] = pid, open(r, "rb")
-        results = []
-        for name in names:
-            if name not in workers:
-                results.append(work(name))
-                continue
-            payload = workers[name][1].read()
-            if not payload:
-                raise ChildProcessError(
-                    f"the worker for convention {name} ended without a result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in workers.values():
-            pipe.close()
+            return [work(item) for item in items]
+        if pid == 0:  # the worker: nothing after fork returns here
+            try:
+                os.close(r)
+                done = []
+                try:
+                    run(len(items) - 1, True, done)
+                    failure = None
+                except BaseException as exc:  # raised again by the parent
+                    failure = exc
+                payload = pickle.dumps((done, failure))
+                with open(w, "wb") as pipe:
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(w)
+        try:
+            with open(r, "rb") as pipe:
+                results = []
+                run(0, False, results)
+                payload = pipe.read()
+        finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    finally:
+        os.close(ends)
+    if not payload:  # the ends met after this process's last item
+        raise ChildProcessError(f"the worker for {noun} {items[len(results)]}"
+                                " ended without a result")
+    done, failure = pickle.loads(payload)
+    if failure is not None:
+        raise failure
+    return results + done[::-1]
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -225,8 +272,8 @@ def cmd_count(args) -> int:
     _guard_box(c, d)
     _claim(args.output)
     names = _conventions(args.convention)
-    counts = _each_convention(
-        names, lambda name: count_configurations(c, d, name), c, d)
+    counts = _fork_map(names, lambda name: count_configurations(c, d, name),
+                       _fork_pays(c, d), "convention")
     values = {f"solver[{name}]": n for name, n in zip(names, counts)}
     values["dp"] = dp_count(c, d)
     if c == 0:
@@ -254,9 +301,9 @@ def cmd_table(args) -> int:
     if args.route == "solver":
         names = _conventions(args.convention)
         # a cached solution may cover a larger box
-        grids = _each_convention(
+        grids = _fork_map(
             names, lambda name: cached_solution(name, cmax, dmax)
-            .n1.crop(cmax, dmax).grid(), cmax, dmax)
+            .n1.crop(cmax, dmax).grid(), _fork_pays(cmax, dmax), "convention")
         tables += [CountTable.from_rows(grid, "n1", "solver", name)
                    for name, grid in zip(names, grids)]
     elif args.route == "dp":
@@ -388,7 +435,9 @@ def cmd_verify(args) -> int:
         elif kwargs:
             _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
     _claim(args.output, args.artifact)
-    reports = run_suite(only=args.only, overrides=overrides)
+    reports = run_suite(only=args.only, overrides=overrides,
+                        each=lambda names, run: _fork_map(
+                            names, run, _can_fork(), "check"))
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]
     lines.append("all checks passed" if ok else "SUITE FAILED")

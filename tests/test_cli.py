@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from forestcount import cli, solver
+from forestcount import cli, solver, verify
 from forestcount.cli import main
 from forestcount.formulas import (asymptotic_estimate, asymptotic_log,
                                   codim1_count, flat_count, simple_count)
@@ -498,6 +498,9 @@ def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):
 BIG_TABLE = ["table", "--cmax", "48", "--dmax", "24", "--convention", "both",
              "--format", "json"]
 BIG_COUNT = ["count", "--codim", "48", "--degree", "24", "--format", "json"]
+# the benchmark's suite: its checks are shared from both ends of the list
+SUITE = ["verify", "--row-sum-dmax", "24", "--oracle-degree", "4",
+         "--format", "jsonl"]
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 
 
@@ -515,8 +518,9 @@ def assert_no_child_left():
 
 
 @needs_fork
-@pytest.mark.parametrize("argv", [BIG_TABLE, BIG_COUNT],
-                         ids=["table", "count"])
+@pytest.mark.parametrize("argv", [BIG_TABLE, BIG_COUNT, SUITE,
+                                  SUITE[:-1] + ["text"]],
+                         ids=["table", "count", "verify-jsonl", "verify-text"])
 def test_forked_and_serial_runs_print_the_same(monkeypatch, capsys, argv):
     forks = two_cpus(monkeypatch)
     forked = run(capsys, *argv)
@@ -534,17 +538,19 @@ def test_no_fork_below_the_crossover_beside_a_thread_or_without_fork(
                "--format", "json")[0] == 0
     assert run(capsys, "count", "--codim", "20", "--degree", "10")[0] == 0
     assert not cli._fork_pays(20, 10) and cli._fork_pays(48, 24)
+    # one check is one item: nothing to share
+    assert run(capsys, "verify", "--only", "flat-row")[0] == 0
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert not cli._fork_pays(48, 24)
+        assert not cli._fork_pays(48, 24) and not cli._can_fork()
         assert run(capsys, *BIG_COUNT)[0] == 0
     finally:
         release.set()
         thread.join()
     monkeypatch.delattr(os, "fork", raising=False)
-    assert not cli._fork_pays(48, 24)
+    assert not cli._fork_pays(48, 24) and not cli._can_fork()
     assert run(capsys, *BIG_COUNT)[0] == 0
     assert forks == []
 
@@ -580,6 +586,31 @@ def test_a_failing_worker_fails_as_the_serial_loop(monkeypatch, capsys, argv):
     assert forked[0] == 1 and forked[1] == ("", "error: boom\n")
 
 
+def failing_checks(monkeypatch, *names):
+    """Make each named verify check raise ValueError("<name> boom")."""
+    for name in names:
+        def fail(name=name, **kwargs):
+            raise ValueError(f"{name} boom")
+
+        monkeypatch.setitem(verify.CHECKS, name, fail)
+
+
+@needs_fork
+@pytest.mark.parametrize("names", [["row-sum"], ["flat-row"],
+                                   ["flat-row", "row-sum"]],
+                         ids=["worker", "parent", "both"])
+def test_failing_checks_fail_as_the_serial_suite(monkeypatch, capsys, names):
+    # the parent starts with the first check, the worker with the last
+    failing_checks(monkeypatch, *names)
+    forks = two_cpus(monkeypatch)
+    forked = main(SUITE), capsys.readouterr()
+    assert forks
+    assert_no_child_left()
+    two_cpus(monkeypatch, cpus=(0,))
+    assert (main(SUITE), capsys.readouterr()) == forked
+    assert forked == (1, ("", f"error: {names[0]} boom\n"))
+
+
 @needs_fork
 def test_a_failing_parent_kills_and_reaps_its_worker(monkeypatch, capsys):
     failing(monkeypatch, "odd", boom)
@@ -601,16 +632,64 @@ def test_a_worker_that_dies_is_an_error(monkeypatch, capsys):
     assert_no_child_left()
 
 
+def dying_worker(monkeypatch, check=None):
+    """Make the forked worker leave by os._exit(0): when it reaches the
+    named check, or else while it holds the claim lock, after a pause in
+    which the parent comes to wait for that lock."""
+    parent = os.getpid()
+    if check:
+        real = verify.CHECKS[check]
+
+        def run(**kwargs):
+            if os.getpid() != parent:
+                os._exit(0)
+            return real(**kwargs)
+
+        monkeypatch.setitem(verify.CHECKS, check, run)
+        return
+    import fcntl
+    lockf = fcntl.lockf
+
+    def unlock_or_die(fd, cmd, *args):
+        if cmd == fcntl.LOCK_UN and os.getpid() != parent:
+            time.sleep(0.3)
+            os._exit(0)
+        return lockf(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "lockf", unlock_or_die)
+
+
+@needs_fork
+@pytest.mark.parametrize("check, lost", [("row-sum", "row-sum"),
+                                         (None, "cross-routes")],
+                         ids=["in-a-check", "holding-the-claim-lock"])
+def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check,
+                                               lost):
+    # the worker starts with row-sum and next claims cross-routes; the
+    # error names the first check whose report it took with it
+    dying_worker(monkeypatch, check)
+    forks = two_cpus(monkeypatch)
+    start = time.perf_counter()
+    assert main(SUITE) == 1
+    assert time.perf_counter() - start < 30
+    captured = capsys.readouterr()
+    assert forks and captured.out == ""
+    assert captured.err == (f"error: the worker for check {lost} "
+                            "ended without a result\n")
+    assert_no_child_left()
+
+
 @needs_fork
 def test_a_failed_fork_solves_in_the_parent(monkeypatch, capsys):
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    two_cpus(monkeypatch)
-    monkeypatch.setattr(os, "fork", no_fork)
-    unforked = run(capsys, *BIG_COUNT)
-    two_cpus(monkeypatch, cpus=(0,))
-    assert run(capsys, *BIG_COUNT) == unforked and unforked[0] == 0
+    for argv in (BIG_COUNT, SUITE):
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(os, "fork", no_fork)
+        unforked = run(capsys, *argv)
+        two_cpus(monkeypatch, cpus=(0,))
+        assert run(capsys, *argv) == unforked and unforked[0] == 0
 
 
 @needs_fork
@@ -618,6 +697,23 @@ def test_a_worker_payload_larger_than_a_pipe_buffer(monkeypatch):
     forks = two_cpus(monkeypatch)
     # about 480 KB pickled, against a pipe buffer of 64 KiB on Linux
     rows = [[10 ** 40 + c * d for c in range(400)] for d in range(60)]
-    got = cli._each_convention(["odd", "linear"], lambda name: rows, 48, 24)
+    got = cli._fork_map(["odd", "linear"], lambda name: rows, True,
+                        "convention")
     assert forks and got == [rows, rows]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_each_item_is_claimed_once_from_its_end(monkeypatch):
+    def work(i):
+        time.sleep(0.001)   # long enough for the claims to interleave
+        return i, os.getpid()
+
+    forks = two_cpus(monkeypatch)
+    got = cli._fork_map(list(range(400)), work, True, "item")
+    assert forks and [i for i, _ in got] == list(range(400))
+    pids = [pid for _, pid in got]
+    # a prefix done here, the rest by the worker
+    mine = pids.count(os.getpid())
+    assert 0 < mine < 400 and pids[:mine] == [os.getpid()] * mine
     assert_no_child_left()

@@ -51,9 +51,13 @@ of solve_simple(20,40); the same digests of the frontier boxes
 cached_solution from an empty cache, so that each miss may start Newton
 from the box before it: F = 2..24 for odd and linear, and F = 2..16 for
 k^2, whose seeds often fail Newton's first-step check; the exit code
-and SHA-256 of the default `forestcount verify --format jsonl`; whether
-`verify --only cross-routes --artifact -` writes the checkout's
-committed route_agreement.json; and the exit code and SHA-256 of
+and SHA-256 of the default `forestcount verify --format jsonl`, of the
+verify-suite workload's `verify --row-sum-dmax 24 --oracle-degree 4` in
+jsonl and in text, and of `verify --artifact -`, each of which the CLI
+shares with one forked worker on a machine with two CPUs or more; the
+exit code and SHA-256 of `verify --only cross-routes --artifact -`, and
+whether it writes the checkout's committed route_agreement.json; and
+the exit code and SHA-256 of
 `oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
 the JSON output of `count --codim c --degree 12` for c = 0, 1, 2,
 `table --route closed-form --cmax 1 --dmax 30`, `asymptotics --codim 1
@@ -284,8 +288,15 @@ clear_cache()
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
 code, out = cli("verify", "--format", "jsonl")
 lines["verify --format jsonl"] = f"exit {code} {sha(out)}"
+for form in ("jsonl", "text"):
+    command = f"verify --row-sum-dmax 24 --oracle-degree 4 --format {form}"
+    code, out = cli(*command.split())
+    lines[command] = f"exit {code} {sha(out)}"
+code, out = cli("verify", "--artifact", "-")
+lines["verify --artifact -"] = f"exit {code} {sha(out)}"
 code, out = cli("verify", "--only", "cross-routes", "--format", "jsonl",
                 "--artifact", "-")
+lines["verify --only cross-routes --artifact -"] = f"exit {code} {sha(out)}"
 artifact = json.loads(out.split("\n", 1)[1])
 committed = json.loads(pathlib.Path("route_agreement.json").read_text())
 lines["cross-routes --artifact -"] = (
