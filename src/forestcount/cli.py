@@ -20,15 +20,16 @@ the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
 
 When fork exists, two CPUs or more are ours and no other thread runs,
-work that splits into items is shared with one forked worker from both
-ends: this process takes items from the front of the list, the worker
-from the back, each claiming its next item under a lock until the ends
-meet, and the results are printed in list order.  `verify` splits its
-checks so whenever more than one runs; `table` and `count` split their
-conventions when the box's cells inside the support bound c <= 2d, each
-weighted by its degree plus one, sum to FORK_MIN_WEIGHT or more, so that
-with both conventions this process solves `odd` and the worker
-`linear`.  Otherwise the items are done one after the other.
+work that splits into items is shared with one forked worker: the list
+is cut in the middle, this process does the front half and the worker
+the back half, and the results are printed in list order.  The cut
+depends only on the number of items, so each process does the same
+items on every run.  `verify` splits its checks so whenever more than
+one runs; `table` and `count` split their conventions when the box's
+cells inside the support bound c <= 2d, each weighted by its degree
+plus one, sum to FORK_MIN_WEIGHT or more, so that with both conventions
+this process solves `odd` and the worker `linear`.  Otherwise the items
+are done one after the other.
 """
 
 from __future__ import annotations
@@ -123,12 +124,10 @@ def _conventions(choice: str) -> list[str]:
 
 
 def _can_fork() -> bool:
-    """Whether a forked worker can run beside this process: fork and
-    memory files exist, at least two CPUs are ours, and no other thread
-    runs (main also runs inside other programs, and a fork copies only
-    the calling thread)."""
-    return (hasattr(os, "fork") and hasattr(os, "memfd_create")
-            and hasattr(os, "sched_getaffinity")
+    """Whether a forked worker can run beside this process: fork exists,
+    at least two CPUs are ours, and no other thread runs (main also runs
+    inside other programs, and a fork copies only the calling thread)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1)
 
@@ -146,97 +145,66 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
     """[work(item) for item in items], with the same results and the same
     first exception.
 
-    When fork is true and there are two items or more, one forked worker
-    shares the list with this process, which takes items from the front
-    while the worker takes them from the back, so that neighbouring
-    items, which often share cached solutions, mostly stay in one
-    process.  Each starts with its end's item and claims the next under
-    a POSIX record lock on a memory file that holds the two ends; the
-    kernel drops the lock of a process that dies, so a dead holder never
-    stalls the other.  This process raises its first exception at once,
-    since every item before it was its own.  The worker stops at its
-    first exception and sends back its results and that exception,
-    pickled through a pipe, and leaves by os._exit; its payload is read
-    whole before it is reaped, since it can exceed the pipe's buffer.
-    The worker is killed (a no-op once its payload is read) and reaped
-    before this returns, and the solutions it caches stay in it.  A
-    worker that ends without a payload is an error naming the first item
-    it claimed, as `noun item`.  If fork fails, every item is done here."""
+    When fork is true and there are two items or more, the list is cut
+    in the middle: this process does the front half (the odd item too)
+    and one forked worker the back half, each in list order, so that
+    neighbouring items, which often share cached solutions, stay in one
+    process.  The cut depends only on the number of items, never on
+    timing, so each process does the same items on every run.  This
+    process raises its first exception at once, since every item before
+    it was its own.  The worker sends back each result, or the exception
+    it raised and then nothing more, pickled through a pipe, and leaves
+    by os._exit; its results are read only after this process's half, so
+    the pipe's buffer may fill, and the worker then waits.  The worker is
+    killed (a no-op once it has left) and reaped before this returns, and
+    the solutions it caches stay in it.  A worker that ends before its
+    last result is an error naming the item it was on, as `noun item`.
+    If fork fails, every item is done here."""
     if len(items) < 2 or not fork:
         return [work(item) for item in items]
-    import fcntl
     import pickle
     import signal
-    import struct
 
-    def claim(back: bool):
-        """The next item's index from the front or the back; None once
-        the ends meet."""
-        fcntl.lockf(ends, fcntl.LOCK_EX)
-        try:
-            front, end = struct.unpack("qq", os.pread(ends, 16, 0))
-            if front >= end:
-                return None
-            if back:
-                end -= 1
-                i = end
-            else:
-                i = front
-                front += 1
-            os.pwrite(ends, struct.pack("qq", front, end), 0)
-            return i
-        finally:
-            fcntl.lockf(ends, fcntl.LOCK_UN)
-
-    def run(i, back: bool, results: list) -> None:
-        """Do item i, then each item claimed from its end, into results."""
-        while i is not None:
-            results.append(work(items[i]))
-            i = claim(back)
-
-    # the next item from the front, and one past the next from the back
-    ends = os.memfd_create("forestcount-ends")
+    cut = (len(items) + 1) // 2
+    r, w = os.pipe()
     try:
-        os.pwrite(ends, struct.pack("qq", 1, len(items) - 1), 0)
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: all done here
-            os.close(r)
-            os.close(w)
-            return [work(item) for item in items]
-        if pid == 0:  # the worker: nothing after fork returns here
-            try:
-                os.close(r)
-                done = []
-                try:
-                    run(len(items) - 1, True, done)
-                    failure = None
-                except BaseException as exc:  # raised again by the parent
-                    failure = exc
-                payload = pickle.dumps((done, failure))
-                with open(w, "wb") as pipe:
-                    pipe.write(payload)
-            finally:
-                os._exit(0)
+        pid = os.fork()
+    except OSError:  # no process to spare: all done here
+        os.close(r)
         os.close(w)
+        return [work(item) for item in items]
+    if pid == 0:  # the worker: nothing after fork returns here
         try:
-            with open(r, "rb") as pipe:
-                results = []
-                run(0, False, results)
-                payload = pipe.read()
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for item in items[cut:]:
+                    try:
+                        ok, value = True, work(item)
+                    except BaseException as exc:  # raised again by the parent
+                        ok, value = False, exc
+                    pipe.write(pickle.dumps((ok, value)))
+                    pipe.flush()
+                    if not ok:
+                        break
         finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            results = [work(item) for item in items[:cut]]
+            for item in items[cut:]:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"the worker for {noun} {item} "
+                                            "ended without a result") from None
+                if not ok:
+                    raise value
+                results.append(value)
+        return results
     finally:
-        os.close(ends)
-    if not payload:  # the ends met after this process's last item
-        raise ChildProcessError(f"the worker for {noun} {items[len(results)]}"
-                                " ended without a result")
-    done, failure = pickle.loads(payload)
-    if failure is not None:
-        raise failure
-    return results + done[::-1]
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -425,19 +393,16 @@ def cmd_verify(args) -> int:
                          "box has no ratio to judge")
     # guard every user-sized box before any check runs; the artifact is
     # built on the cross-routes box, and row-sum solves (2*dmax, dmax)
-    guarded = [args.only] if args.only else list(CHECKS)
-    if args.artifact:
-        guarded.append("cross-routes")
-    for name in guarded:
+    names = [args.only] if args.only else list(CHECKS)
+    for name in (names + ["cross-routes"] if args.artifact else names):
         kwargs = overrides.get(name, {})
         if "max_degree" in kwargs:
             _guard_oracle(kwargs["max_degree"])
         elif kwargs:
             _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
     _claim(args.output, args.artifact)
-    reports = run_suite(only=args.only, overrides=overrides,
-                        each=lambda names, run: _fork_map(
-                            names, run, _can_fork(), "check"))
+    reports = _fork_map(names, lambda name: run_suite(name, overrides)[0],
+                        _can_fork(), "check")
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]
     lines.append("all checks passed" if ok else "SUITE FAILED")

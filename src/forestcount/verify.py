@@ -514,23 +514,18 @@ CHECKS = {
 }
 
 
-def run_suite(only: str | None = None, overrides: dict | None = None,
-              each=None) -> list[dict]:
-    """Run the named check (or all), applying per-check kwarg overrides.
-
-    each(names, run), if given, must return [run(name) for name in names]
-    and raise the first exception that loop would; by default the checks
-    run one after the other here."""
+def run_suite(only: str | None = None, overrides: dict | None = None) -> list[dict]:
+    """Run the named check (or all), applying per-check kwarg overrides."""
     names = [only] if only else list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check(s): {', '.join(unknown)}")
     overrides = overrides or {}
-
-    def run(name: str) -> dict:
-        return CHECKS[name](**overrides.get(name, {}))
-
-    return each(names, run) if each else [run(name) for name in names]
+    reports = []
+    for name in names:
+        kwargs = overrides.get(name, {})
+        reports.append(CHECKS[name](**kwargs))
+    return reports
 
 
 def suite_passed(reports: list[dict]) -> bool:

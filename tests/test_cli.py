@@ -498,7 +498,8 @@ def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):
 BIG_TABLE = ["table", "--cmax", "48", "--dmax", "24", "--convention", "both",
              "--format", "json"]
 BIG_COUNT = ["count", "--codim", "48", "--degree", "24", "--format", "json"]
-# the benchmark's suite: its checks are shared from both ends of the list
+# the benchmark's suite: its checks are cut in the middle, this process
+# doing flat-row .. q-factor and the worker system-equation .. row-sum
 SUITE = ["verify", "--row-sum-dmax", "24", "--oracle-degree", "4",
          "--format", "jsonl"]
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
@@ -600,7 +601,7 @@ def failing_checks(monkeypatch, *names):
                                    ["flat-row", "row-sum"]],
                          ids=["worker", "parent", "both"])
 def test_failing_checks_fail_as_the_serial_suite(monkeypatch, capsys, names):
-    # the parent starts with the first check, the worker with the last
+    # flat-row is the parent's first check, row-sum the worker's last
     failing_checks(monkeypatch, *names)
     forks = two_cpus(monkeypatch)
     forked = main(SUITE), capsys.readouterr()
@@ -632,41 +633,25 @@ def test_a_worker_that_dies_is_an_error(monkeypatch, capsys):
     assert_no_child_left()
 
 
-def dying_worker(monkeypatch, check=None):
-    """Make the forked worker leave by os._exit(0): when it reaches the
-    named check, or else while it holds the claim lock, after a pause in
-    which the parent comes to wait for that lock."""
+def dying_worker(monkeypatch, check):
+    """Make the forked worker leave by os._exit(0) when it reaches the
+    named check."""
     parent = os.getpid()
-    if check:
-        real = verify.CHECKS[check]
+    real = verify.CHECKS[check]
 
-        def run(**kwargs):
-            if os.getpid() != parent:
-                os._exit(0)
-            return real(**kwargs)
-
-        monkeypatch.setitem(verify.CHECKS, check, run)
-        return
-    import fcntl
-    lockf = fcntl.lockf
-
-    def unlock_or_die(fd, cmd, *args):
-        if cmd == fcntl.LOCK_UN and os.getpid() != parent:
-            time.sleep(0.3)
+    def run(**kwargs):
+        if os.getpid() != parent:
             os._exit(0)
-        return lockf(fd, cmd, *args)
+        return real(**kwargs)
 
-    monkeypatch.setattr(fcntl, "lockf", unlock_or_die)
+    monkeypatch.setitem(verify.CHECKS, check, run)
 
 
 @needs_fork
-@pytest.mark.parametrize("check, lost", [("row-sum", "row-sum"),
-                                         (None, "cross-routes")],
-                         ids=["in-a-check", "holding-the-claim-lock"])
-def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check,
-                                               lost):
-    # the worker starts with row-sum and next claims cross-routes; the
-    # error names the first check whose report it took with it
+@pytest.mark.parametrize("check", ["system-equation", "row-sum"])
+def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check):
+    # the worker's first and last checks: the error names the check it
+    # was on, since it sends back each report as it is done
     dying_worker(monkeypatch, check)
     forks = two_cpus(monkeypatch)
     start = time.perf_counter()
@@ -674,7 +659,7 @@ def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check,
     assert time.perf_counter() - start < 30
     captured = capsys.readouterr()
     assert forks and captured.out == ""
-    assert captured.err == (f"error: the worker for check {lost} "
+    assert captured.err == (f"error: the worker for check {check} "
                             "ended without a result\n")
     assert_no_child_left()
 
@@ -704,16 +689,22 @@ def test_a_worker_payload_larger_than_a_pipe_buffer(monkeypatch):
 
 
 @needs_fork
-def test_each_item_is_claimed_once_from_its_end(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 15, 400])
+def test_the_front_half_is_done_here_and_the_back_half_by_the_worker(
+        monkeypatch, n):
+    parent = os.getpid()
+
     def work(i):
-        time.sleep(0.001)   # long enough for the claims to interleave
+        if os.getpid() == parent:
+            time.sleep(0.001)   # a slow parent does not hand items over
         return i, os.getpid()
 
     forks = two_cpus(monkeypatch)
-    got = cli._fork_map(list(range(400)), work, True, "item")
-    assert forks and [i for i, _ in got] == list(range(400))
+    got = cli._fork_map(list(range(n)), work, True, "item")
+    assert forks and [i for i, _ in got] == list(range(n))
     pids = [pid for _, pid in got]
-    # a prefix done here, the rest by the worker
-    mine = pids.count(os.getpid())
-    assert 0 < mine < 400 and pids[:mine] == [os.getpid()] * mine
+    mine = (n + 1) // 2
+    worker = pids[-1]
+    assert pids[:mine] == [parent] * mine and worker != parent
+    assert pids[mine:] == [worker] * (n - mine)
     assert_no_child_left()

@@ -17,10 +17,10 @@ from forestcount.verify import ZPolynomial
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # stdlib modules that counting never uses; dataclasses alone pulls in
-# inspect, ast and dis.  pickle, fcntl (the claim lock) and signal are
-# loaded only when the CLI forks a worker, never on import.
+# inspect, ast and dis.  pickle and signal are loaded only when the CLI
+# forks a worker, never on import.
 UNUSED = ("dataclasses", "typing", "inspect", "ast", "dis", "fractions",
-          "decimal", "pickle", "multiprocessing", "fcntl", "signal")
+          "decimal", "pickle", "multiprocessing", "signal")
 
 
 def loaded_after(code: str) -> set[str]:
