@@ -19,17 +19,9 @@ result, distinct from a usage error, which exits 1).  Boxes larger than
 the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
 
-When fork exists, two CPUs or more are ours and no other thread runs,
-work that splits into items is shared with one forked worker: the list
-is cut in the middle, this process does the front half and the worker
-the back half, and the results are printed in list order.  The cut
-depends only on the number of items, so each process does the same
-items on every run.  `verify` splits its checks so whenever more than
-one runs; `table` and `count` split their conventions when the box's
-cells inside the support bound c <= 2d, each weighted by its degree
-plus one, sum to FORK_MIN_WEIGHT or more, so that with both conventions
-this process solves `odd` and the worker `linear`.  Otherwise the items
-are done one after the other.
+`table`, `count` and `verify` may share their items (conventions or
+checks) with one forked worker; the output is the same either way (see
+_fork_map and _fork_pays).
 """
 
 from __future__ import annotations
@@ -46,10 +38,10 @@ from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
                        codim1_count, codim1_row, flat_count, flat_row,
                        simple_count)
 from .oracle import MAX_ORACLE_DEGREE, dump_diagrams, enumerate_flat
-from .solver import (CONVENTIONS, cached_solution, count_configurations,
-                     solve_simple)
+from .solver import CONVENTIONS, cached_solution, count_configurations
 from .tables import CountTable
-from .verify import CHECKS, route_agreement_document, run_suite, suite_passed
+from .verify import (CHECKS, route_agreement_document, run_suite,
+                     simple_closed_form, suite_passed)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,25 +139,25 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
 
     When fork is true and there are two items or more, the list is cut
     in the middle: this process does the front half (the odd item too)
-    and one forked worker the back half, each in list order, so that
-    neighbouring items, which often share cached solutions, stay in one
-    process.  The cut depends only on the number of items, never on
-    timing, so each process does the same items on every run.  This
-    process raises its first exception at once, since every item before
-    it was its own.  The worker sends back each result, or the exception
-    it raised and then nothing more, pickled through a pipe, and leaves
-    by os._exit; its results are read only after this process's half, so
-    the pipe's buffer may fill, and the worker then waits.  The worker is
-    killed (a no-op once it has left) and reaped before this returns, and
-    the solutions it caches stay in it.  A worker that ends before its
-    last result is an error naming the item it was on, as `noun item`.
-    If fork fails, every item is done here."""
+    and one forked worker the back half, each in list order.  The cut
+    depends only on the number of items, so each process does the same
+    items on every run, and neighbouring items, which often share cached
+    solutions, stay in one process.  The worker sends back its half's
+    results, or its first exception, as one pickle through a pipe, and
+    leaves by os._exit.  This process reads that pickle only after its
+    own half, which raises its first exception at once, so the pipe's
+    buffer may fill, and the worker then waits.  The worker is killed (a
+    no-op once it has left) and reaped before this returns, and the
+    solutions it caches stay in it.  A worker that ends without a result
+    is an error naming the items it held.  If fork fails, every item is
+    done here."""
     if len(items) < 2 or not fork:
         return [work(item) for item in items]
     import pickle
     import signal
 
     cut = (len(items) + 1) // 2
+    held = items[cut:]
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -176,32 +168,29 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
     if pid == 0:  # the worker: nothing after fork returns here
         try:
             os.close(r)
+            try:
+                payload = True, [work(item) for item in held]
+            except BaseException as exc:  # raised again by the parent
+                payload = False, exc
             with open(w, "wb") as pipe:
-                for item in items[cut:]:
-                    try:
-                        ok, value = True, work(item)
-                    except BaseException as exc:  # raised again by the parent
-                        ok, value = False, exc
-                    pipe.write(pickle.dumps((ok, value)))
-                    pipe.flush()
-                    if not ok:
-                        break
+                pickle.dump(payload, pipe)
         finally:
             os._exit(0)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
             results = [work(item) for item in items[:cut]]
-            for item in items[cut:]:
-                try:
-                    ok, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise ChildProcessError(f"the worker for {noun} {item} "
-                                            "ended without a result") from None
-                if not ok:
-                    raise value
-                results.append(value)
-        return results
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                if len(held) > 1:
+                    noun += "s"
+                raise ChildProcessError(
+                    f"the worker for {noun} {', '.join(map(str, held))} "
+                    "ended without a result") from None
+        if not ok:
+            raise value
+        return results + value
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -300,12 +289,7 @@ def cmd_simple(args) -> int:
     cmax, dmax = args.cmax, args.dmax
     _guard_box(cmax, dmax)
     _claim(args.output)
-    closed = [[simple_count(c, d) for d in range(dmax + 1)]
-              for c in range(cmax + 1)]
-    n4 = solve_simple(cmax, dmax)
-    mismatches = [[c, d, n4.coeff(c, d), closed[c][d]]
-                  for c in range(cmax + 1) for d in range(dmax + 1)
-                  if n4.coeff(c, d) != closed[c][d]]
+    closed, mismatches = simple_closed_form(cmax, dmax)
     table = CountTable.from_rows(closed, "n4", "closed-form")
     doc = {"schema": "simple-report@1",
            "table": table.to_json_dict(),

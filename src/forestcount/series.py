@@ -12,15 +12,9 @@ integer), so there is no rounding and no overflow at any magnitude.
 Instances are immutable after construction and safe to share across
 threads; all operations are pure functions.
 
-Products and quotients run through one row loop, `_convolve`, over a
-packed representation: each d-row is encoded into one signed big integer
-with fixed-width slots along c (`_pack`, `_unpack`), turning a whole row
-convolution into a single int multiplication whatever the signs.  That
-keeps the dominant cost inside CPython's big-int multiply rather than
-Python-level loops, which is what makes the large verification boxes
-affordable.  A plain nested-loop product (`mul_reference`) is kept
-alongside and is cross-checked against the packed product by the test
-suite.
+Products and quotients share one packed row loop (see _convolve); a
+plain nested-loop product, `mul_reference`, is the test suite's check
+on it.
 """
 
 from __future__ import annotations

@@ -14,27 +14,11 @@ conventions are provided and every query can be run under either, so
 that any convention-dependent cell is surfaced rather than hidden.
 
 Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
-n4 = G(n4) for simple configurations).  A step of Newton's iteration
-z <- z + (G(z) - z) / (1 - G'(z)) can double the number of exact
-y-degrees (Brent and Kung, J. ACM 25(4), 1978); the steps follow the
-halving ladder (von zur Gathen and Gerhard, Modern Computer Algebra,
-section 9; see _newton).  A solve climbs only the rungs above the exact
-leading rows that a cached n2 of the same rule gives it (see _seed).
-n1 = 1 + y n2^4 and n3 = n2 / n1 are then built once on the full box,
-and the other two equations and nonnegativity are checked there before a
-solution is returned (see _check_solved); SystemSolution.verify rebuilds
-n1 as well and checks all three.
-
-The meeting-point sum T(t) = sum_k x^weight(k) t^k is rational on a box:
-it splits into a prefix of k0 - 1 terms and one arithmetic run (see
-_tail_split), so a Newton step takes k0 - 1 products for powers of t and
-two divisions (see _system_step).  k0 stays fixed as the box grows for a
-rule that ends arithmetic, as both built-in conventions do (k0 = 1 for
-odd, 2 for linear); for one that never does, such as weight(k) = k^2, it
-grows with the box.
-
-Factors that a power of y multiplies are built only through the rows
-that stay in the box (see _below).
+n4 = G(n4) for simple configurations), solved by Newton's iteration,
+each step of which can double the number of exact y-degrees (Brent and
+Kung, J. ACM 25(4), 1978; von zur Gathen and Gerhard, Modern Computer
+Algebra, section 9; see _newton).  Every solution is checked on its
+full box before it is returned (see _check_solved).
 """
 
 from __future__ import annotations
@@ -54,7 +38,38 @@ class NegativeCoefficientError(SolverError):
     """A negative count appeared; signals a wrong convention or recurrence."""
 
 
-class CodimWeight:
+class FrozenRecord:
+    """An immutable record whose fields are its class's __slots__, which
+    its __init__ sets through object.__setattr__.  Equality and hash use
+    the _key() that each subclass defines; copy and pickle rebuild a
+    record through __init__, with its fields in __slots__ order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+
+
+class CodimWeight(FrozenRecord):
     """A named rule assigning a local codimension exponent to k >= 1.
 
     k is the number of even lines at the first base-line meeting point.
@@ -69,25 +84,8 @@ class CodimWeight:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "weight", weight)
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return f"CodimWeight(name={self.name!r}, weight={self.weight!r})"
-
-    def __reduce__(self):   # copy and pickle rebuild through __init__
-        return CodimWeight, (self.name, self.weight)
+    def _key(self):
+        return self.name
 
     def table(self, kmax: int) -> list[int]:
         """weight(1..kmax) as a list (index 0 unused), validated."""

@@ -25,11 +25,12 @@ from itertools import islice
 from math import comb
 
 from .dp import cross_validate, dp_count, dp_table
-from .formulas import (asymptotic_ratio, codim1_count, flat_count,
-                       fuss_convolution, simple_count)
+from .formulas import (asymptotic_ratio, codim1_count, codim1_row,
+                       flat_count, flat_row, fuss_convolution, simple_count)
 from .oracle import enumerate_flat, validate_diagram
 from .series import BiSeries
-from .solver import CONVENTIONS, cached_solution, solve_simple
+from .solver import (CONVENTIONS, FrozenRecord, cached_solution,
+                     solve_simple)
 
 REPORT_SCHEMA = "verify-report@1"
 
@@ -48,7 +49,7 @@ def _report(check: str, status: str, offending=None, **details) -> dict:
 # integer polynomials in x, y, z
 # ----------------------------------------------------------------------
 
-class ZPolynomial:
+class ZPolynomial(FrozenRecord):
     """Sum of terms coeff * x^a y^b z^e with integer coefficients.
 
     terms is a tuple of (a, b, e, coeff); equality and hash use it.  The
@@ -60,25 +61,8 @@ class ZPolynomial:
     def __init__(self, terms: tuple[tuple[int, int, int, int], ...]):
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return f"ZPolynomial(terms={self.terms!r})"
-
-    def __reduce__(self):   # copy and pickle rebuild through __init__
-        return ZPolynomial, (self.terms,)
+    def _key(self):
+        return self.terms
 
     @classmethod
     def from_terms(cls, terms) -> "ZPolynomial":
@@ -369,10 +353,10 @@ def row_sum_check(dmax: int = 60) -> dict:
 # route, closed-form, oracle and asymptotic checks
 # ----------------------------------------------------------------------
 
-def _row_check(check: str, c: int, closed_form, dmax: int) -> dict:
+def _row_check(check: str, c: int, closed_row, dmax: int) -> dict:
     """Row c must agree across solver (both conventions), the recurrence
-    route and the closed form."""
-    routes = {"closed-form": [closed_form(d) for d in range(dmax + 1)],
+    route and the closed form's row closed_row(dmax)."""
+    routes = {"closed-form": closed_row(dmax),
               "dp": dp_table(c, dmax)[c]}
     for name in CONVENTIONS:
         n1 = cached_solution(name, c, dmax).n1
@@ -386,20 +370,28 @@ def _row_check(check: str, c: int, closed_form, dmax: int) -> dict:
 
 def check_flat_row(dmax: int = 30) -> dict:
     """Row c = 0 against the flat-count closed form."""
-    return _row_check("flat-row", 0, flat_count, dmax)
+    return _row_check("flat-row", 0, flat_row, dmax)
 
 
 def check_codim1_row(dmax: int = 30) -> dict:
     """Row c = 1 against the codimension-1 closed form."""
-    return _row_check("codim1-row", 1, codim1_count, dmax)
+    return _row_check("codim1-row", 1, codim1_row, dmax)
+
+
+def simple_closed_form(cmax: int, dmax: int) -> tuple[list, list]:
+    """The closed-form simple counts on the box, row by codimension, and
+    every cell [c, d, solver, closed form] where solve_simple differs."""
+    closed = [[simple_count(c, d) for d in range(dmax + 1)]
+              for c in range(cmax + 1)]
+    n4 = solve_simple(cmax, dmax)
+    return closed, [[c, d, n4.coeff(c, d), closed[c][d]]
+                    for c in range(cmax + 1) for d in range(dmax + 1)
+                    if n4.coeff(c, d) != closed[c][d]]
 
 
 def check_simple_closed_form(cmax: int = 10, dmax: int = 30) -> dict:
     """solve_simple must equal the closed form on the whole box."""
-    n4 = solve_simple(cmax, dmax)
-    bad = [[c, d, n4.coeff(c, d), simple_count(c, d)]
-           for c in range(cmax + 1) for d in range(dmax + 1)
-           if n4.coeff(c, d) != simple_count(c, d)]
+    bad = simple_closed_form(cmax, dmax)[1]
     return _report("simple-closed-form", "pass" if not bad else "fail",
                    bad[:20], box=[cmax, dmax])
 
@@ -407,7 +399,7 @@ def check_simple_closed_form(cmax: int = 10, dmax: int = 30) -> dict:
 def check_fuss_convolution(amax: int = 5, bmax: int = 10) -> dict:
     """Closed form vs the literal convolution of flat counts."""
     flats = BiSeries.from_terms(
-        0, bmax, {(0, d): flat_count(d) for d in range(bmax + 1)})
+        0, bmax, {(0, d): v for d, v in enumerate(flat_row(bmax))})
     conv = BiSeries.one(0, bmax)
     bad = []
     for a in range(1, amax + 1):

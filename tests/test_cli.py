@@ -13,6 +13,7 @@ from forestcount import cli, solver, verify
 from forestcount.cli import main
 from forestcount.formulas import (asymptotic_estimate, asymptotic_log,
                                   codim1_count, flat_count, simple_count)
+from forestcount.series import BiSeries
 from forestcount.solver import cached_solution
 from forestcount.tables import CountTable
 
@@ -144,6 +145,30 @@ def test_simple_command(capsys):
     assert doc["solver_matches_closed_form"] is True
     table = CountTable.from_json_dict(doc["table"])
     assert table.value(1, 2) == 4
+
+
+def test_simple_and_its_check_list_the_same_disagreeing_cells(monkeypatch,
+                                                              capsys):
+    real = verify.solve_simple
+    bump = {(1, 2): 1, (3, 7): 1}
+
+    def bumped(cmax, dmax):
+        return real(cmax, dmax) + BiSeries.from_terms(cmax, dmax, bump)
+
+    monkeypatch.setattr(verify, "solve_simple", bumped)
+    code, out = run(capsys, "simple", "--cmax", "3", "--dmax", "8",
+                    "--format", "json")
+    doc = json.loads(out)
+    assert code == 2 and doc["solver_matches_closed_form"] is False
+    code, out = run(capsys, "verify", "--only", "simple-closed-form",
+                    "--format", "jsonl")
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "fail"
+    want = [[c, d, simple_count(c, d) + 1, simple_count(c, d)]
+            for c, d in sorted(bump)]
+    assert doc["mismatches"] == report["offending_cells"] == want
+    code, out = run(capsys, "simple", "--cmax", "3", "--dmax", "8")
+    assert code == 2 and out.endswith("\nROUTES DISAGREE on 2 cells\n")
 
 
 def test_asymptotics_command(capsys):
@@ -650,8 +675,10 @@ def dying_worker(monkeypatch, check):
 @needs_fork
 @pytest.mark.parametrize("check", ["system-equation", "row-sum"])
 def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check):
-    # the worker's first and last checks: the error names the check it
-    # was on, since it sends back each report as it is done
+    # the worker's first and last checks: either way it sends nothing
+    # back, and the error names every check it held
+    held = list(verify.CHECKS)[(len(verify.CHECKS) + 1) // 2:]
+    assert held[0] == "system-equation" and held[-1] == "row-sum"
     dying_worker(monkeypatch, check)
     forks = two_cpus(monkeypatch)
     start = time.perf_counter()
@@ -659,8 +686,8 @@ def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check):
     assert time.perf_counter() - start < 30
     captured = capsys.readouterr()
     assert forks and captured.out == ""
-    assert captured.err == (f"error: the worker for check {check} "
-                            "ended without a result\n")
+    assert captured.err == (f"error: the worker for checks {', '.join(held)}"
+                            " ended without a result\n")
     assert_no_child_left()
 
 

@@ -52,6 +52,19 @@ def test_codim_weight_compares_and_hashes_by_name():
     assert ODD != ("odd", ODD.weight)
 
 
+def test_frozen_records_keep_their_repr_and_keyword_construction():
+    weight = ODD.weight
+    rule = CodimWeight(name="odd", weight=weight)
+    assert rule == ODD and rule.weight is weight
+    assert repr(rule) == f"CodimWeight(name='odd', weight={weight!r})"
+    terms = ((0, 0, 1, 1), (1, 2, 0, -3))
+    poly = ZPolynomial(terms=terms)
+    assert poly == ZPolynomial(terms) and poly.terms is terms
+    assert repr(poly) == ("ZPolynomial(terms=((0, 0, 1, 1), "
+                          "(1, 2, 0, -3)))")
+    assert ODD != poly and poly != ODD
+
+
 def test_records_are_immutable():
     sol = solve_system("odd", 2, 2)
     records = [

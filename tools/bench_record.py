@@ -41,33 +41,12 @@ A change that keeps every pack keeps all three.
 
 `digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
 and the checkout as working directory, and prints side by side what a
-change that keeps every count and report must keep: the SHA-256 of the
-n1/n2/n3 rows for odd and linear at (64,32), (47,24), (40,20) and
-(0,30), for odd (30,60) and (120,60), where the `_pack` memo evicts
-during the solve, for weight(k) = k^2 at (40,20), a rule that never
-becomes arithmetic and so makes the most products per Newton step, and
-of solve_simple(20,40); the same digests of the frontier boxes
-(2F-1, F) that a count session asks, asked in order through
-cached_solution from an empty cache, so that each miss may start Newton
-from the box before it: F = 2..24 for odd and linear, and F = 2..16 for
-k^2, whose seeds often fail Newton's first-step check; the exit code
-and SHA-256 of the default `forestcount verify --format jsonl`, of the
-verify-suite workload's `verify --row-sum-dmax 24 --oracle-degree 4` in
-jsonl and in text, and of `verify --artifact -`, each of which the CLI
-shares with one forked worker on a machine with two CPUs or more; the
-exit code and SHA-256 of `verify --only cross-routes --artifact -`, and
-whether it writes the checkout's committed route_agreement.json; and
-the exit code and SHA-256 of
-`oracle --degree d --dump -` for d = 0..4; the exit code and SHA-256 of
-the JSON output of `count --codim c --degree 12` for c = 0, 1, 2,
-`table --route closed-form --cmax 1 --dmax 30`, `asymptotics --codim 1
---degree 200`, `simple --cmax 6 --dmax 20`, and of `table --cmax 64
---dmax 32 --convention both` and `count --codim 48 --degree 24`, which
-the CLI solves in a forked worker per convention after the first on a
-machine with two CPUs or more; the exit codes of the
-usage errors `verify --only bogus` and `asymptotics --codim 0 --degree
-0`; and the exit code and SHA-256 of `forestcount --help` and of each
-subcommand's `--help`, with COLUMNS=80 so that the help width is fixed.
+change that keeps every count and report must keep, as DIGEST_CHILD
+lists it: the SHA-256 of solver rows, among them boxes where the `_pack`
+memo evicts and seeded frontier sweeps, and the exit code and SHA-256
+of CLI outputs, among them those the CLI shares with a forked worker on
+a machine with two CPUs or more (help is printed with COLUMNS=80, so
+that its width is fixed).
 Digests are shown by their first 16 hex digits.  It marks each line
 where the checkouts differ with DIFFERS and exits 1 if any does.
 
@@ -308,10 +287,13 @@ commands = [f"count --codim {c} --degree 12" for c in range(3)] + [
     "table --route closed-form --cmax 1 --dmax 30",
     "asymptotics --codim 1 --degree 200", "simple --cmax 6 --dmax 20",
     "table --cmax 64 --dmax 32 --convention both",
-    "count --codim 48 --degree 24"]
+    "count --codim 48 --degree 24", "count --codim 40 --degree 30"]
 for command in commands:
     code, out = cli(*command.split(), "--format", "json")
     lines[command] = f"exit {code} {sha(out)}"
+command = "table --cmax 48 --dmax 24 --format csv"
+code, out = cli(*command.split())
+lines[command] = f"exit {code} {sha(out)}"
 for command in ("verify --only bogus", "asymptotics --codim 0 --degree 0"):
     lines[command] = f"exit {cli(*command.split())[0]}"
 os.environ["COLUMNS"] = "80"
