@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
 import os
 import sys
-import threading
 
 from .dp import dp_count, dp_table
 from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
@@ -62,7 +62,37 @@ class ResourceGuard(Exception):
     pass
 
 
+def _terminal_width() -> int:
+    """The width shutil.get_terminal_size() gives, without importing
+    shutil (and, through it, bz2, lzma and fnmatch): COLUMNS if it is a
+    positive int, else the width of the terminal on sys.__stdout__, else
+    80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout, for the width it would take itself; argparse
+    builds one formatter per argument, and its own imports shutil."""
+
+    def __init__(self, prog, **kwargs):
+        kwargs.setdefault("width", _terminal_width() - 2)
+        super().__init__(prog, **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers are built through this too
+        kwargs.setdefault("formatter_class", _Formatter)
+        super().__init__(**kwargs)
+
     def error(self, message):  # keep usage errors on exit code 1
         raise UsageError(message)
 
@@ -118,10 +148,13 @@ def _conventions(choice: str) -> list[str]:
 def _can_fork() -> bool:
     """Whether a forked worker can run beside this process: fork exists,
     at least two CPUs are ours, and no other thread runs (main also runs
-    inside other programs, and a fork copies only the calling thread)."""
+    inside other programs, and a fork copies only the calling thread).
+    A thread of the threading module needs that module loaded, so it is
+    asked only when it is."""
+    threading = sys.modules.get("threading")
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
+            and (threading is None or threading.active_count() == 1))
 
 
 def _fork_pays(cmax: int, dmax: int) -> bool:
@@ -135,7 +168,9 @@ def _fork_pays(cmax: int, dmax: int) -> bool:
 
 def _fork_map(items: list, work, fork: bool, noun: str) -> list:
     """[work(item) for item in items], with the same results and the same
-    first exception.
+    first exception.  Results must be plain data, which marshal can send:
+    ints, strings, floats, bools, None, and lists, tuples and dicts of
+    them.
 
     When fork is true and there are two items or more, the list is cut
     in the middle: this process does the front half (the odd item too)
@@ -143,17 +178,17 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
     depends only on the number of items, so each process does the same
     items on every run, and neighbouring items, which often share cached
     solutions, stay in one process.  The worker sends back its half's
-    results, or its first exception, as one pickle through a pipe, and
-    leaves by os._exit.  This process reads that pickle only after its
-    own half, which raises its first exception at once, so the pipe's
-    buffer may fill, and the worker then waits.  The worker is killed (a
-    no-op once it has left) and reaped before this returns, and the
-    solutions it caches stay in it.  A worker that ends without a result
-    is an error naming the items it held.  If fork fails, every item is
-    done here."""
+    results as one marshal payload through a pipe, or its first
+    exception, pickled, in the payload's place, and leaves by os._exit;
+    only that path imports pickle.  This process reads the payload only
+    after its own half, which raises its first exception at once, so the
+    pipe's buffer may fill, and the worker then waits.  The worker is
+    killed (a no-op once it has left) and reaped before this returns,
+    and the solutions it caches stay in it.  A worker that ends without
+    a result is an error naming the items it held.  If fork fails, every
+    item is done here."""
     if len(items) < 2 or not fork:
         return [work(item) for item in items]
-    import pickle
     import signal
 
     cut = (len(items) + 1) // 2
@@ -171,9 +206,10 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
             try:
                 payload = True, [work(item) for item in held]
             except BaseException as exc:  # raised again by the parent
-                payload = False, exc
+                import pickle
+                payload = False, pickle.dumps(exc)
             with open(w, "wb") as pipe:
-                pickle.dump(payload, pipe)
+                pipe.write(marshal.dumps(payload))
         finally:
             os._exit(0)
     os.close(w)
@@ -181,15 +217,16 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
         with open(r, "rb") as pipe:
             results = [work(item) for item in items[:cut]]
             try:
-                ok, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
+                ok, value = marshal.loads(pipe.read())
+            except (EOFError, ValueError, TypeError):
                 if len(held) > 1:
                     noun += "s"
                 raise ChildProcessError(
                     f"the worker for {noun} {', '.join(map(str, held))} "
                     "ended without a result") from None
         if not ok:
-            raise value
+            import pickle
+            raise pickle.loads(value)
         return results + value
     finally:
         os.kill(pid, signal.SIGKILL)

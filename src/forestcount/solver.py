@@ -17,13 +17,14 @@ Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
 n4 = G(n4) for simple configurations), solved by Newton's iteration,
 each step of which can double the number of exact y-degrees (Brent and
 Kung, J. ACM 25(4), 1978; von zur Gathen and Gerhard, Modern Computer
-Algebra, section 9; see _newton).  Every solution is checked on its
-full box before it is returned (see _check_solved).
+Algebra, section 9; see _newton).  n3 is then read off Newton's last
+step with one product (see solve_system).  Every solution is checked on
+its full box before it is returned (see _check_solved).
 """
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from collections import Counter, namedtuple
 from collections.abc import Callable
 
@@ -300,6 +301,10 @@ def _system_step(split: TailSplit):
     K = P_K + (k0 - 1) R + R / D, where P_K = sum_{k<k0} k x^weight(k) t^k;
     this is t R' = k0 R + x^s t R / D with x^s t / D = 1/D - 1.  A step
     thus takes k0 - 1 products for powers of t and two divisions by D.
+
+    Each call keeps step.last = (z, w, r, 5 - 4r), w = z / n1, for
+    _n3_of; step.last is None until the first call.  Every solve builds
+    its own step, so solves in different threads share nothing.
     """
 
     def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
@@ -308,10 +313,11 @@ def _system_step(split: TailSplit):
         z2 = zb * zb
         a = (z2 * z2).pad(b).shift(0, 1)
         n1 = BiSeries.one(cmax, b) + a
-        t = z - z.divide(n1)
+        w = z.divide(n1)
+        t = z - w
         terms, tk0 = [], t          # x^weight(k) t^k for k < k0, then t^k0
-        for w in split.prefix:
-            terms.append(tk0.shift(w, 0))
+        for wk in split.prefix:
+            terms.append(tk0.shift(wk, 0))
             tk0 = tk0 * t
         den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
         run = tk0.shift(split.w0, 0).divide(den)
@@ -325,9 +331,34 @@ def _system_step(split: TailSplit):
         five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)
         dg = ((z2.crop(cmax, e) * z.crop(cmax, e)).scale(4).shift(0, 1)
               + tt.crop(cmax, e) + kt * five_4r)
+        step.last = z, w, r, five_4r
         return g, dg
 
+    step.last = None
     return step
+
+
+def _n3_of(n2: BiSeries, last) -> BiSeries:
+    """n3 = n2 / n1 on n2's box, n1 = 1 + y n2^4, from the values that
+    the last Newton step kept (see _system_step): the step from z, with
+    p exact rows, to n2 on the box (cmax, dmax), e = dmax - p.
+
+    With n1_z = 1 + a, a = y z^4, w = z / n1_z, r = a / n1_z and
+    delta = n2 - z, n3 = w + delta (1 - r)(1 - 4r) on the box, where
+    (1 - r)(1 - 4r) = 1 - r (5 - 4r).  delta has y-valuation >= p and the
+    ladder keeps dmax + 1 <= 2p, so y delta^2 and the product of
+    n3 - w and n1 - n1_z = 4 y z^3 delta vanish on the box.  Then
+    n1 n3 - n1_z w = delta gives n1_z (n3 - w) = delta (1 - 4 y z^3 w)
+    = delta (1 - 4r), and 1 / n1_z = 1 - r.  Only rows <= e of the
+    factor meet delta, so r is needed on the box (cmax, e) only, and the
+    one product pairs delta's top e + 1 rows with the factor's e + 1.
+    It shares no quotient with the check n1 n3 = n2 (_check_solved).
+    """
+    if last is None:                        # dmax = 0: no step, n1 = 1
+        return n2
+    z, w, r, five_4r = last
+    factor = BiSeries.one(r.cmax, r.dmax) - r * five_4r
+    return w + (n2 - z) * factor.pad(n2.dmax)
 
 
 def solve_system(convention: str | CodimWeight, cmax: int,
@@ -336,10 +367,11 @@ def solve_system(convention: str | CodimWeight, cmax: int,
 
     n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
     started from the exact leading rows of a cached n2 of the same rule
-    when the cache holds one (see _seed), then n1 = 1 + y n2^4 and
-    n3 = n2 / n1 on the full box.  Returns the unique solution with
+    when the cache holds one (see _seed), then n1 = 1 + y n2^4, and
+    n3 = n2 / n1 from what the last Newton step kept, with one product
+    and no quotient (see _n3_of).  Returns the unique solution with
     nonnegative coefficients, whatever the cache holds.  n2 = n1 n3 (a
-    product, which checks the quotient), the meeting-point equation and
+    full-box product, which checks n3), the meeting-point equation and
     nonnegativity are always checked on the full box (_check_solved),
     which raises NegativeCoefficientError if any count comes out
     negative; n1 holds by construction, so it is built only once.
@@ -350,9 +382,10 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     weights = conv.table(dmax)
     split = _tail_split(weights, cmax, dmax)
     seed = _seed(conv.name, tuple(weights), cmax, dmax)
-    n2 = _newton(_system_step(split), cmax, dmax, seed)
+    step = _system_step(split)
+    n2 = _newton(step, cmax, dmax, seed)
     n1 = _n1_of(n2)
-    n3 = n2.divide(n1)
+    n3 = _n3_of(n2, step.last)
     _check_solved(n1, n2, n3, split)
     return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
 
@@ -395,7 +428,7 @@ def solve_simple(cmax: int, dmax: int) -> BiSeries:
 # solution cache: concurrent readers, single-writer insertion
 # ----------------------------------------------------------------------
 
-_cache_lock = threading.Lock()
+_cache_lock = allocate_lock()
 _cache: dict[tuple[str, tuple[int, ...], int, int], SystemSolution] = {}
 
 

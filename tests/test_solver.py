@@ -1,7 +1,7 @@
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forestcount import solver
 from forestcount.formulas import codim1_count, flat_count, simple_count
@@ -263,40 +263,64 @@ def test_meeting_point_gate_rejects_every_bump(conv):
                 bad.verify()
 
 
+def spy_newton(monkeypatch, events):
+    """Append ("newton", seed) to events each time a _newton call returns,
+    seed being the rows it started from (None for a cold start)."""
+    newton = solver._newton
+
+    def spy(step, cmax, dmax, seed=None):
+        z = newton(step, cmax, dmax, seed)
+        events.append(("newton", seed))
+        return z
+
+    monkeypatch.setattr(solver, "_newton", spy)
+
+
 @pytest.mark.parametrize("conv", [ODD, LINEAR], ids=["odd", "linear"])
 def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
-    # solve_system builds n1 once and does not compare it again, so the
-    # product n1 n3 is what checks its last quotient, n3 = n2 / n1
-    divide, calls = BiSeries.divide, []
+    # n3 is read off the last Newton step, with no quotient once Newton
+    # has returned, so the product n1 n3 is what checks it, on the cold
+    # path (an empty cache) and on the seeded one (a miss above a cached
+    # box)
+    divide, n3_of, events = BiSeries.divide, solver._n3_of, []
 
     def spy(num, den):
-        calls.append((num, den))
+        events.append(("divide", None))
         return divide(num, den)
 
     monkeypatch.setattr(BiSeries, "divide", spy)
-    sol = solve_system(conv, 6, 6)
-    assert calls[-1] == (sol.n2, sol.n1)
-    last = len(calls)
+    spy_newton(monkeypatch, events)
+    clear_cache()
+    solve_system(conv, 6, 6)
+    assert events[-1] == ("newton", None)
+    low = cached_solution(conv, 6, 4).n2
+    events.clear()
+    solve_system(conv, 6, 6)
+    assert events[-1] == ("newton", low)
     for c, d in ((0, 0), (2, 3), (0, 6), (6, 6)):
         bump = BiSeries.monomial(6, 6, c, d)
-        calls.clear()
-
-        def bumped(num, den):
-            calls.append((num, den))
-            q = divide(num, den)
-            return q + bump if len(calls) == last else q
-
-        monkeypatch.setattr(BiSeries, "divide", bumped)
-        with pytest.raises(SolverError, match="n2 = n1 n3"):
-            solve_system(conv, 6, 6)
+        for seeded in (False, True):
+            clear_cache()
+            monkeypatch.setattr(solver, "_n3_of", n3_of)
+            if seeded:
+                cached_solution(conv, 6, 4)
+            monkeypatch.setattr(solver, "_n3_of",
+                                lambda n2, last: n3_of(n2, last) + bump)
+            events.clear()
+            with pytest.raises(SolverError, match="n2 = n1 n3"):
+                solve_system(conv, 6, 6)
+            assert events[-1] == ("newton", low if seeded else None)
+    clear_cache()
 
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
-    # n1 and n3 are built from a bumped n2 on the solve path itself, so
-    # the first two equations hold and only the meeting-point one fails,
-    # on the cold path (an empty cache) and on the seeded one (a cache
-    # miss above a cached box)
+    # n1 and n3 are built from a bumped n2 on the solve path itself, on
+    # the cold path (an empty cache) and on the seeded one (a miss above
+    # a cached box).  A bump in the top row, which the last Newton step
+    # makes exact, leaves n3 = n2 / n1 and only the meeting-point
+    # equation fails; one in row 1, which that step starts from, breaks
+    # n2 = n1 n3 first
     newton, seeds = solver._newton, []
 
     def bumped(step, cmax, dmax, seed=None):
@@ -305,28 +329,77 @@ def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
 
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
         bump = BiSeries.monomial(8, 8, c, d)
+        message = "meeting-point" if d == 8 else "n2 = n1 n3"
         clear_cache()
         monkeypatch.setattr(solver, "_newton", bumped)
         seeds.clear()
-        with pytest.raises(SolverError, match="meeting-point"):
+        with pytest.raises(SolverError, match=message):
             solve_system(conv, 8, 8)
         monkeypatch.setattr(solver, "_newton", newton)
         low = cached_solution(conv, 8, 5).n2
         monkeypatch.setattr(solver, "_newton", bumped)
-        with pytest.raises(SolverError, match="meeting-point"):
+        with pytest.raises(SolverError, match=message):
             cached_solution(conv, 8, 8)
         assert seeds == [None, low]
     clear_cache()
 
 
 def test_solve_path_rejects_another_conventions_root(monkeypatch):
-    # Newton solves under linear, the gate checks under odd: they part
-    # ways at (4, 4)
-    linear = _tail_split(LINEAR.table(6), 6, 6)
+    # Newton solves under the next rule, the gate checks under this one:
+    # each neighbouring pair parts ways on the box, and n3 = n2 / n1 holds
+    # for either root, so only the meeting-point gate can fail, cold and
+    # seeded (where the seed's rows fail the next rule's first step and
+    # Newton restarts from fewer rows)
     step = solver._system_step
-    monkeypatch.setattr(solver, "_system_step", lambda split: step(linear))
-    with pytest.raises(SolverError, match="meeting-point"):
-        solve_system(ODD, 6, 6)
+    for conv, other in zip(RULES, RULES[1:] + RULES[:1]):
+        split = _tail_split(other.table(8), 8, 8)
+        for seeded in (False, True):
+            clear_cache()
+            if seeded:
+                cached_solution(conv, 8, 5)
+            monkeypatch.setattr(solver, "_system_step",
+                                lambda _, split=split: step(split))
+            events = []
+            spy_newton(monkeypatch, events)
+            with pytest.raises(SolverError, match="meeting-point"):
+                solve_system(conv, 8, 8)
+            assert (events[-1][1] is not None) == seeded, conv.name
+            monkeypatch.undo()
+    clear_cache()
+
+
+SQUARE = RULES[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RULES), st.integers(0, 10), st.integers(0, 10),
+       st.one_of(st.none(), st.tuples(st.integers(0, 10),
+                                      st.integers(1, 9))))
+@example(ODD, 0, 0, None)
+@example(LINEAR, 3, 1, None)
+@example(SQUARE, 0, 2, (0, 1))
+@example(SQUARE, 5, 2, (5, 1))
+@example(SQUARE, 5, 3, (3, 2))              # a seed of 3 rows restarts
+def test_n3_is_the_quotient_n2_over_n1(conv, cmax, dmax, cached):
+    # cold from an empty cache, or seeded from a cached box, through a
+    # restart when the seed's rows fail the first step (weight(k) = k^2
+    # from (3,2) to (5,3))
+    clear_cache()
+    if cached:
+        cached_solution(conv, *cached)
+    sol = solve_system(conv, cmax, dmax)
+    assert sol.n3 == sol.n2.divide(sol.n1), (conv.name, cmax, dmax, cached)
+    clear_cache()
+
+
+def test_a_square_rule_seed_restarts(newton_calls):
+    # the restart that test_n3_is_the_quotient_n2_over_n1 takes
+    clear_cache()
+    cached_solution(SQUARE, 3, 2)
+    newton_calls.clear()
+    solve_system(SQUARE, 5, 3)
+    assert newton_calls == [3, 2]
+    clear_cache()
 
 
 # ----------------------------------------------------------------------

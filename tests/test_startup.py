@@ -17,10 +17,12 @@ from forestcount.verify import ZPolynomial
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # stdlib modules that counting never uses; dataclasses alone pulls in
-# inspect, ast and dis.  pickle and signal are loaded only when the CLI
-# forks a worker, never on import.
+# inspect, ast and dis, and argparse's own help formatter shutil, bz2 and
+# lzma.  signal is loaded only when the CLI forks a worker, and pickle
+# only when a forked half raises, never on import.
 UNUSED = ("dataclasses", "typing", "inspect", "ast", "dis", "fractions",
-          "decimal", "pickle", "multiprocessing", "signal")
+          "decimal", "pickle", "multiprocessing", "signal", "shutil", "bz2",
+          "lzma", "threading")
 
 
 def loaded_after(code: str) -> set[str]:
