@@ -19,9 +19,10 @@ result, distinct from a usage error, which exits 1).  Boxes larger than
 the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
 
-`table`, `count` and `verify` may share their items (conventions or
-checks) with one forked worker; the output is the same either way (see
-_fork_map and _fork_pays).
+`table`, `count` and `verify` may share their items (conventions, the
+dp route or checks) with one forked worker, cut by each item's
+predicted cost; the output is the same either way (see _fork_map and
+_cut).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .formulas import (asymptotic_estimate, asymptotic_log, asymptotic_ratio,
 from .oracle import MAX_ORACLE_DEGREE, dump_diagrams, enumerate_flat
 from .solver import CONVENTIONS, cached_solution, count_configurations
 from .tables import CountTable
-from .verify import (CHECKS, route_agreement_document, run_suite,
-                     simple_closed_form, suite_passed)
+from .verify import (CHECKS, WORK, Work, route_agreement_document,
+                     run_suite, simple_closed_form, suite_passed)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,9 +50,12 @@ EXIT_DISAGREEMENT = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_MAX_CELLS = 200_000
-# the box weight (see _fork_pays) from which a forked worker per
-# convention pays for itself (measured; see README "Performance notes")
-FORK_MIN_WEIGHT = 6000
+# Predicted costs (see _costs) are in milliseconds of one CPU of the
+# machine that README "Performance notes" names, fitted there to the
+# times `tools/bench_record.py costs` prints.  A fork pays when the
+# lighter of its two sides costs FORK_MIN_MS or more.
+ITEM_MS = 1.0
+FORK_MIN_MS = 12.0
 
 
 class UsageError(Exception):
@@ -157,42 +161,99 @@ def _can_fork() -> bool:
             and (threading is None or threading.active_count() == 1))
 
 
-def _fork_pays(cmax: int, dmax: int) -> bool:
-    """Whether solving conventions side by side on the box pays: its cells
-    inside the support bound c <= 2d, each weighted by d + 1 since a
-    coefficient's size grows linearly with its degree, sum to
-    FORK_MIN_WEIGHT or more, and _can_fork()."""
-    weight = sum((d + 1) * min(cmax + 1, 2 * d + 1) for d in range(dmax + 1))
-    return weight >= FORK_MIN_WEIGHT and _can_fork()
+def _solve_ms(cmax: int, dmax: int) -> float:
+    """The predicted cost of a cold solve_system on the box (cmax, dmax):
+    a fixed part, the row pairs of its products (tall boxes), its cells
+    (wide boxes), and the big-int products of its columns inside the
+    support bound c <= 2d, which grow about as d^4 per column."""
+    d = dmax + 1
+    return (0.5 + 0.021 * d ** 1.5 + 0.0048 * (cmax + 1) * d
+            + 5.7e-7 * min(cmax, 2 * dmax) * d ** 4)
 
 
-def _fork_map(items: list, work, fork: bool, noun: str) -> list:
+def _costs(works) -> list[float]:
+    """The predicted cost of each of works (verify.Work), done one after
+    the other in one process: the item's own arithmetic, its solves, each
+    cold unless an earlier item solved a covering box of the same rule
+    (then a cache hit, free), its simple solves at a third of a solve,
+    its dp fills at about (c+1)^2 d^2 products, and its oracle
+    enumeration, which grows about 10-fold per degree."""
+    solved, costs = [], []
+    for work in works:
+        cost = ITEM_MS
+        for box in work.solves:
+            rule, c, d = box
+            for r, cm, dm in solved:
+                if r == rule and c <= cm and d <= dm:
+                    break
+            else:
+                solved.append(box)
+                cost += _solve_ms(c, d)
+        for c, d in work.simple:
+            cost += _solve_ms(c, d) / 3
+        for c, d in work.dp:
+            cost += 2.7e-4 * (c + 1) ** 2 * d ** 2
+        if work.oracle is not None:
+            cost += 6e-4 * 10 ** work.oracle
+        costs.append(cost)
+    return costs
+
+
+def _cut(works) -> list[int]:
+    """The indices, in list order, of the items a forked worker does, or []
+    when a fork does not pay; the rest are done here.
+
+    An item's price is its cost in the whole list done in order (_costs),
+    so a check whose boxes an earlier check solves is priced as the cache
+    hit it is in a serial run.  Items are placed largest price first,
+    items of equal price together: of those, the ones nearest the front
+    of the list go here and the rest to the worker, split where the
+    slower side, priced in list order, ends soonest, and a tie goes
+    here.  So checks that share a box tend to stay in one process, and
+    equal prices cut the list in the middle.  The cut depends only on
+    the works, so each process does the same items on every run.  A fork
+    pays when the lighter side's price reaches FORK_MIN_MS."""
+    def price(side: list[int]) -> float:
+        return sum(_costs([works[i] for i in sorted(side)]))
+
+    prices = _costs(works)
+    here, worker = [], []
+    for top in sorted(set(prices), reverse=True):
+        block = [i for i, p in enumerate(prices) if p == top]
+        m = min(range(len(block), -1, -1), key=lambda m: max(
+            price(here + block[:m]), price(worker + block[m:])))
+        here += block[:m]
+        worker += block[m:]
+    if min(price(here), price(worker)) < FORK_MIN_MS:
+        return []
+    return sorted(worker)
+
+
+def _fork_map(items: list, work, works: list, noun: str) -> list:
     """[work(item) for item in items], with the same results and the same
-    first exception.  Results must be plain data, which marshal can send:
+    first exception.  works[i] declares what work(items[i]) computes (a
+    verify.Work).  Results must be plain data, which marshal can send:
     ints, strings, floats, bools, None, and lists, tuples and dicts of
     them.
 
-    When fork is true and there are two items or more, the list is cut
-    in the middle: this process does the front half (the odd item too)
-    and one forked worker the back half, each in list order.  The cut
-    depends only on the number of items, so each process does the same
-    items on every run, and neighbouring items, which often share cached
-    solutions, stay in one process.  The worker sends back its half's
-    results as one marshal payload through a pipe, or its first
-    exception, pickled, in the payload's place, and leaves by os._exit;
+    When _can_fork() and _cut(works) names items, one forked worker does
+    those and this process the rest, each in list order.  The worker
+    sends back its results as one marshal payload through a pipe, or
+    stops at its first exception and sends its results so far with that
+    item's index and the exception, pickled; it leaves by os._exit, and
     only that path imports pickle.  This process reads the payload only
-    after its own half, which raises its first exception at once, so the
-    pipe's buffer may fill, and the worker then waits.  The worker is
-    killed (a no-op once it has left) and reaped before this returns,
-    and the solutions it caches stay in it.  A worker that ends without
-    a result is an error naming the items it held.  If fork fails, every
-    item is done here."""
-    if len(items) < 2 or not fork:
+    after its own items, or when its own item k raises and the worker
+    holds an item before k, so the pipe's buffer may fill, and the
+    worker then waits; it then raises whichever exception comes first in
+    list order.  The worker is killed (a no-op once it has left) and
+    reaped before this returns, and the solutions it caches stay in it.
+    A worker that ends without a result is an error naming the items it
+    held.  If fork fails, every item is done here."""
+    held = _cut(works) if len(items) > 1 and _can_fork() else []
+    if not held:
         return [work(item) for item in items]
     import signal
 
-    cut = (len(items) + 1) // 2
-    held = items[cut:]
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -203,31 +264,48 @@ def _fork_map(items: list, work, fork: bool, noun: str) -> list:
     if pid == 0:  # the worker: nothing after fork returns here
         try:
             os.close(r)
-            try:
-                payload = True, [work(item) for item in held]
-            except BaseException as exc:  # raised again by the parent
-                import pickle
-                payload = False, pickle.dumps(exc)
+            done, failed = [], None
+            for i in held:
+                try:
+                    done.append(work(items[i]))
+                except BaseException as exc:  # raised again by the parent
+                    import pickle
+                    failed = i, pickle.dumps(exc)
+                    break
             with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(payload))
+                pipe.write(marshal.dumps((done, failed)))
         finally:
             os._exit(0)
     os.close(w)
     try:
+        results, error, worker = [None] * len(items), None, set(held)
         with open(r, "rb") as pipe:
-            results = [work(item) for item in items[:cut]]
+            for i, item in enumerate(items):
+                if i in worker:
+                    continue
+                try:
+                    results[i] = work(item)
+                except Exception as exc:
+                    if i < held[0]:  # first in list order: no need to wait
+                        raise
+                    error = i, exc
+                    break
             try:
-                ok, value = marshal.loads(pipe.read())
+                done, failed = marshal.loads(pipe.read())
             except (EOFError, ValueError, TypeError):
                 if len(held) > 1:
                     noun += "s"
-                raise ChildProcessError(
-                    f"the worker for {noun} {', '.join(map(str, held))} "
-                    "ended without a result") from None
-        if not ok:
+                names = ", ".join(str(items[i]) for i in held)
+                raise ChildProcessError(f"the worker for {noun} {names} "
+                                        "ended without a result") from None
+        if failed and not (error and error[0] < failed[0]):
             import pickle
-            raise pickle.loads(value)
-        return results + value
+            raise pickle.loads(failed[1])
+        if error:
+            raise error[1]
+        for i, value in zip(held, done):
+            results[i] = value
+        return results
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -266,10 +344,14 @@ def cmd_count(args) -> int:
     _guard_box(c, d)
     _claim(args.output)
     names = _conventions(args.convention)
-    counts = _fork_map(names, lambda name: count_configurations(c, d, name),
-                       _fork_pays(c, d), "convention")
+    # dp_count fills an array only inside the support bound
+    works = [Work(((name, c, d),)) for name in names]
+    works.append(Work(dp=((c, d),) if c < 2 * d else ()))
+    *counts, dp = _fork_map(
+        names + ["dp"], lambda name: dp_count(c, d) if name == "dp"
+        else count_configurations(c, d, name), works, "convention")
     values = {f"solver[{name}]": n for name, n in zip(names, counts)}
-    values["dp"] = dp_count(c, d)
+    values["dp"] = dp
     if c == 0:
         values["closed-form"] = flat_count(d)
     elif c == 1:
@@ -297,7 +379,8 @@ def cmd_table(args) -> int:
         # a cached solution may cover a larger box
         grids = _fork_map(
             names, lambda name: cached_solution(name, cmax, dmax)
-            .n1.crop(cmax, dmax).grid(), _fork_pays(cmax, dmax), "convention")
+            .n1.crop(cmax, dmax).grid(),
+            [Work(((name, cmax, dmax),)) for name in names], "convention")
         tables += [CountTable.from_rows(grid, "n1", "solver", name)
                    for name, grid in zip(names, grids)]
     elif args.route == "dp":
@@ -412,18 +495,20 @@ def cmd_verify(args) -> int:
     if args.row_sum_dmax < 1:
         raise UsageError("--row-sum-dmax must be at least 1: a one-row "
                          "box has no ratio to judge")
-    # guard every user-sized box before any check runs; the artifact is
-    # built on the cross-routes box, and row-sum solves (2*dmax, dmax)
+    # guard every box a user sizes before any check runs; the artifact is
+    # built on the cross-routes box
     names = [args.only] if args.only else list(CHECKS)
+    works = [WORK[name](**overrides.get(name, {})) for name in names]
     for name in (names + ["cross-routes"] if args.artifact else names):
-        kwargs = overrides.get(name, {})
-        if "max_degree" in kwargs:
-            _guard_oracle(kwargs["max_degree"])
-        elif kwargs:
-            _guard_box(kwargs.get("cmax", 2 * kwargs["dmax"]), kwargs["dmax"])
+        if name in overrides:
+            work = WORK[name](**overrides[name])
+            if work.oracle is not None:
+                _guard_oracle(work.oracle)
+            for box in [box[1:] for box in work.solves] + list(work.dp):
+                _guard_box(*box)
     _claim(args.output, args.artifact)
     reports = _fork_map(names, lambda name: run_suite(name, overrides)[0],
-                        _can_fork(), "check")
+                        works, "check")
     ok = suite_passed(reports)
     lines = [_check_line(rep) for rep in reports]
     lines.append("all checks passed" if ok else "SUITE FAILED")

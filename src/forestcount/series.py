@@ -61,8 +61,12 @@ def _pack(row: tuple[int, ...], bps: int) -> int:
     code = _STRUCT_CODES.get(bps)
     if code:
         buf = struct.pack(f"<{len(row)}{code}", *row)
-    else:
-        buf = b"".join([v.to_bytes(bps, "little", signed=True) for v in row])
+    else:  # up to the last nonzero slot: high zero bytes add nothing
+        top = len(row)
+        while top and not row[top - 1]:
+            top -= 1
+        buf = b"".join([row[c].to_bytes(bps, "little", signed=True)
+                        for c in range(top)])
     packed = int.from_bytes(buf, "little")
     if min(row) < 0:
         w = 8 * bps
@@ -77,23 +81,41 @@ def _ones(nslots: int, bps: int) -> int:
     return int.from_bytes((b"\x01" + bytes(bps - 1)) * nslots, "little")
 
 
-def _unpack(acc: int, nslots: int, bps: int) -> list[int]:
-    """Read the first nslots signed slots of a packed int.
+@lru_cache(maxsize=64)
+def _zeros(n: int) -> tuple[int, ...]:
+    return (0,) * n
+
+
+def _unpack(acc: int, nslots: int, bps: int) -> tuple[int, ...]:
+    """The first nslots signed slots of a packed int, as a tuple.
+
+    Only the slots up to acc's top nonzero slot t are read; the rest are
+    a shared zero tuple.  With w = 8*bps, every slot s_c of acc lies
+    below 2**(w-1) in absolute value (callers size bps so), hence
+    |sum_{c<t} s_c 2**(w*c)| <= (2**(w-1) - 1)(2**(w*t) - 1)/(2**w - 1)
+    < 2**(w*t-1), so 2**(w*t-1) < |acc| < 2**(w*(t+1)-1): |acc| has at
+    least w*t and at most w*(t+1) - 1 bits, and t = bits // w exactly.
+    A product's slots above nslots are dropped, so at most nslots are
+    read.
 
     Adding the bias, the top bit of each slot, lifts every slot into
-    [0, 2**(8*bps)) without carries between slots; flipping the same bits
+    [0, 2**w) without carries between slots; flipping the same bits
     back leaves each slot in two's complement, read as a signed value:
     by one `struct.unpack` call for slots of 1, 2, 4 or 8 bytes,
     `int.from_bytes` per slot for wider ones.
     """
-    bias = _ones(nslots, bps) << (8 * bps - 1)
-    low = ((acc + bias) & ((1 << (8 * bps * nslots)) - 1)) ^ bias
-    buf = low.to_bytes(nslots * bps, "little")
+    w = 8 * bps
+    k = min(abs(acc).bit_length() // w + 1, nslots)
+    bias = _ones(k, bps) << (w - 1)
+    low = ((acc + bias) & ((1 << (w * k)) - 1)) ^ bias
+    buf = low.to_bytes(k * bps, "little")
     code = _STRUCT_CODES.get(bps)
     if code:
-        return list(struct.unpack(f"<{nslots}{code}", buf))
-    return [int.from_bytes(buf[c * bps:(c + 1) * bps], "little", signed=True)
-            for c in range(nslots)]
+        head = struct.unpack(f"<{k}{code}", buf)
+    else:
+        head = tuple([int.from_bytes(buf[c * bps:(c + 1) * bps], "little",
+                                     signed=True) for c in range(k)])
+    return head + _zeros(nslots - k)
 
 
 def _row_bits(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -161,7 +183,7 @@ def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],
                 pb[j] = _pack(b[j], bps)
             p = pa[i] * pb[j]
             acc += p + p if square and i < j else p
-        yield tuple(_unpack(acc, nslots, bps)) if acc else zero_row
+        yield _unpack(acc, nslots, bps) if acc else zero_row
 
 
 class BiSeries:

@@ -506,6 +506,51 @@ CHECKS = {
 }
 
 
+class Work(FrozenRecord):
+    """What one check computes, for the keyword arguments it is given: the
+    (rule, cmax, dmax) boxes it asks cached_solution for, in order; the
+    (cmax, dmax) boxes it passes to solve_simple and to dp_table; and the
+    degree up to which it enumerates flat diagrams, or None.  cli prices
+    it to share the checks between two processes and guards the boxes a
+    user sizes by it."""
+
+    __slots__ = ("solves", "simple", "dp", "oracle")
+
+    def __init__(self, solves=(), simple=(), dp=(), oracle=None):
+        for name, value in zip(self.__slots__, (solves, simple, dp, oracle)):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.solves, self.simple, self.dp, self.oracle
+
+
+def _both(cmax: int, dmax: int) -> tuple:
+    return tuple((name, cmax, dmax) for name in CONVENTIONS)
+
+
+# name -> the Work of CHECKS[name] called with the same keyword arguments;
+# the defaults are the check's (tests/test_verify.py spies on the calls)
+WORK = {
+    "flat-row": lambda dmax=30: Work(_both(0, dmax), dp=((0, dmax),)),
+    "codim1-row": lambda dmax=30: Work(_both(1, dmax), dp=((1, dmax),)),
+    "simple-closed-form": lambda cmax=10, dmax=30: Work(
+        simple=((cmax, dmax),)),
+    "fuss-convolution": lambda amax=5, bmax=10: Work(),
+    "support-bound": lambda cmax=40, dmax=20: Work(_both(cmax, dmax)),
+    "min-poly": lambda cmax=12, dmax=12: Work((("odd", cmax, dmax),)),
+    "q-consistency": Work,
+    "q-factor": Work,
+    "system-equation": lambda cmax=12, dmax=12: Work((("odd", cmax, dmax),)),
+    "alt-tail": lambda cmax=13, dmax=9: Work((("linear", cmax, dmax),)),
+    "growth-constant": Work,
+    "asymptotics": lambda d=200: Work(),
+    "oracle": lambda max_degree=3: Work(oracle=max_degree),
+    "cross-routes": lambda cmax=10, dmax=20: Work(_both(cmax, dmax),
+                                                  dp=((cmax, dmax),)),
+    "row-sum": lambda dmax=60: Work((("odd", 2 * dmax, dmax),)),
+}
+
+
 def run_suite(only: str | None = None, overrides: dict | None = None) -> list[dict]:
     """Run the named check (or all), applying per-check kwarg overrides."""
     names = [only] if only else list(CHECKS)

@@ -6,8 +6,10 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestcount import cli, solver, verify
 from forestcount.cli import main
@@ -523,10 +525,12 @@ def test_output_to_unwritable_path_is_an_error(tmp_path, capsys):
 BIG_TABLE = ["table", "--cmax", "48", "--dmax", "24", "--convention", "both",
              "--format", "json"]
 BIG_COUNT = ["count", "--codim", "48", "--degree", "24", "--format", "json"]
-# the benchmark's suite: its checks are cut in the middle, this process
-# doing flat-row .. q-factor and the worker system-equation .. row-sum
+# the dp route fills its array, and the conventions differ (exit 2)
+DP_COUNT = ["count", "--codim", "24", "--degree", "20", "--format", "json"]
+# the benchmark's suite: its checks are cut by price (see suite_cut)
 SUITE = ["verify", "--row-sum-dmax", "24", "--oracle-degree", "4",
          "--format", "jsonl"]
+SUITE_OVERRIDES = {"row-sum": {"dmax": 24}, "oracle": {"max_degree": 4}}
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 
 
@@ -536,6 +540,21 @@ def two_cpus(monkeypatch, cpus=(0, 1)):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                         raising=False)
     return spy_on(monkeypatch, os, "fork")
+
+
+def suite_cut():
+    """The checks of SUITE this process does and those the worker does,
+    each in list order, as cli._cut gives them."""
+    names = list(verify.CHECKS)
+    held = cli._cut([verify.WORK[name](**SUITE_OVERRIDES.get(name, {}))
+                     for name in names])
+    return ([name for i, name in enumerate(names) if i not in held],
+            [names[i] for i in held])
+
+
+def both(cmax, dmax):
+    """The works of table and count's solves on the box, by convention."""
+    return [verify.Work(((name, cmax, dmax),)) for name in solver.CONVENTIONS]
 
 
 def assert_no_child_left():
@@ -557,26 +576,41 @@ def test_forked_and_serial_runs_print_the_same(monkeypatch, capsys, argv):
     assert len(forks) == 1
 
 
+@needs_fork
+def test_count_shares_its_dp_route(monkeypatch, capsys):
+    # dp is the costliest item: this process fills its array while the
+    # worker solves both conventions
+    assert cli._cut(both(24, 20) + [verify.Work(dp=((24, 20),))]) == [0, 1]
+    forks = two_cpus(monkeypatch)
+    forked = run(capsys, *DP_COUNT)
+    assert forked[0] == 2 and len(forks) == 1
+    assert_no_child_left()
+    two_cpus(monkeypatch, cpus=(0,))
+    assert run(capsys, *DP_COUNT) == forked
+    assert len(forks) == 1
+
+
 def test_no_fork_below_the_crossover_beside_a_thread_or_without_fork(
         monkeypatch, capsys):
     forks = two_cpus(monkeypatch)
     assert run(capsys, "table", "--cmax", "20", "--dmax", "10",
                "--format", "json")[0] == 0
     assert run(capsys, "count", "--codim", "20", "--degree", "10")[0] == 0
-    assert not cli._fork_pays(20, 10) and cli._fork_pays(48, 24)
+    assert not cli._cut(both(20, 10)) and cli._cut(both(48, 24)) == [1]
+    assert cli._cut(both(64, 32)) == [1]
     # one check is one item: nothing to share
     assert run(capsys, "verify", "--only", "flat-row")[0] == 0
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert not cli._fork_pays(48, 24) and not cli._can_fork()
+        assert cli._cut(both(48, 24)) and not cli._can_fork()
         assert run(capsys, *BIG_COUNT)[0] == 0
     finally:
         release.set()
         thread.join()
     monkeypatch.delattr(os, "fork", raising=False)
-    assert not cli._fork_pays(48, 24) and not cli._can_fork()
+    assert not cli._can_fork()
     assert run(capsys, *BIG_COUNT)[0] == 0
     assert forks == []
 
@@ -622,11 +656,16 @@ def failing_checks(monkeypatch, *names):
 
 
 @needs_fork
-@pytest.mark.parametrize("names", [["row-sum"], ["flat-row"],
-                                   ["flat-row", "row-sum"]],
-                         ids=["worker", "parent", "both"])
-def test_failing_checks_fail_as_the_serial_suite(monkeypatch, capsys, names):
-    # flat-row is the parent's first check, row-sum the worker's last
+@pytest.mark.parametrize("sides", [["worker"], ["parent"],
+                                   ["parent", "worker"],
+                                   ["worker", "parent"]],
+                         ids=["worker", "parent", "both", "worker-first"])
+def test_failing_checks_fail_as_the_serial_suite(monkeypatch, capsys, sides):
+    # the first side's first check fails, and the second side's last
+    # check, later in list order, too
+    checks = dict(zip(["parent", "worker"], suite_cut()))
+    names = [checks[sides[0]][0], *(checks[side][-1] for side in sides[1:])]
+    assert names == sorted(names, key=list(verify.CHECKS).index)
     failing_checks(monkeypatch, *names)
     forks = two_cpus(monkeypatch)
     forked = main(SUITE), capsys.readouterr()
@@ -673,12 +712,12 @@ def dying_worker(monkeypatch, check):
 
 
 @needs_fork
-@pytest.mark.parametrize("check", ["system-equation", "row-sum"])
+@pytest.mark.parametrize("check", ["flat-row", "row-sum"])
 def test_a_verify_worker_that_dies_is_an_error(monkeypatch, capsys, check):
     # the worker's first and last checks: either way it sends nothing
     # back, and the error names every check it held
-    held = list(verify.CHECKS)[(len(verify.CHECKS) + 1) // 2:]
-    assert held[0] == "system-equation" and held[-1] == "row-sum"
+    held = suite_cut()[1]
+    assert check in (held[0], held[-1])
     dying_worker(monkeypatch, check)
     forks = two_cpus(monkeypatch)
     start = time.perf_counter()
@@ -709,16 +748,15 @@ def test_a_worker_payload_larger_than_a_pipe_buffer(monkeypatch):
     forks = two_cpus(monkeypatch)
     # about 480 KB pickled, against a pipe buffer of 64 KiB on Linux
     rows = [[10 ** 40 + c * d for c in range(400)] for d in range(60)]
-    got = cli._fork_map(["odd", "linear"], lambda name: rows, True,
-                        "convention")
+    got = cli._fork_map(["odd", "linear"], lambda name: rows,
+                        both(48, 24), "convention")
     assert forks and got == [rows, rows]
     assert_no_child_left()
 
 
-@needs_fork
-@pytest.mark.parametrize("n", [2, 3, 15, 400])
-def test_the_front_half_is_done_here_and_the_back_half_by_the_worker(
-        monkeypatch, n):
+def pids_of_items(monkeypatch, works):
+    """Run _fork_map on two CPUs over range(len(works)); return the pid
+    each item ran in, after checking the results' order."""
     parent = os.getpid()
 
     def work(i):
@@ -727,11 +765,85 @@ def test_the_front_half_is_done_here_and_the_back_half_by_the_worker(
         return i, os.getpid()
 
     forks = two_cpus(monkeypatch)
-    got = cli._fork_map(list(range(n)), work, True, "item")
-    assert forks and [i for i, _ in got] == list(range(n))
-    pids = [pid for _, pid in got]
+    got = cli._fork_map(list(range(len(works))), work, works, "item")
+    assert forks and [i for i, _ in got] == list(range(len(works)))
+    assert_no_child_left()
+    return [pid for _, pid in got]
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [2, 3, 15, 400])
+def test_the_front_half_is_done_here_and_the_back_half_by_the_worker(
+        monkeypatch, n):
+    # equal prices, each enough for a fork, cut the list in the middle
+    pids = pids_of_items(monkeypatch, [verify.Work(dp=((10, 20),))] * n)
     mine = (n + 1) // 2
     worker = pids[-1]
-    assert pids[:mine] == [parent] * mine and worker != parent
+    assert pids[:mine] == [os.getpid()] * mine and worker != os.getpid()
     assert pids[mine:] == [worker] * (n - mine)
+
+
+# dp fills priced about 49, 14 and 5 ms, and a solve of odd (40,20) about
+# 12 ms alone and a cache hit after a covering box on the same side
+BIG, MID, SMALL = (verify.Work(dp=((c, 20),)) for c in (20, 10, 5))
+SOLVE = verify.Work((("odd", 40, 20),))
+PRICED = {
+    # largest first: BIG here, both MIDs there, then SMALL there too
+    "largest-first": ([MID, BIG, SMALL, MID], [0, 2, 3]),
+    # the first SOLVE goes there, and the later ones, which cost a cache
+    # hit after it, follow it
+    "cache-hits": ([BIG, SOLVE, MID, SOLVE, SOLVE], [1, 2, 3, 4]),
+    # the lighter side, two SMALLs, is under FORK_MIN_MS
+    "no-fork": ([MID, SMALL, SMALL], []),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("works, held", PRICED.values(), ids=PRICED)
+def test_each_process_does_the_items_the_priced_cut_gives_it(
+        monkeypatch, works, held):
+    assert cli._cut(works) == held
+    if held:
+        pids = pids_of_items(monkeypatch, works)
+        assert [pid != os.getpid() for pid in pids] == [
+            i in held for i in range(len(works))]
+        assert len({pids[i] for i in held}) == 1
+
+
+def works_lists():
+    box = st.tuples(st.sampled_from(list(solver.CONVENTIONS)),
+                    st.integers(0, 40), st.integers(0, 30))
+    pair = st.tuples(st.integers(0, 20), st.integers(0, 20))
+    work = st.builds(verify.Work, st.lists(box, max_size=2).map(tuple),
+                     st.lists(pair, max_size=1).map(tuple),
+                     st.lists(pair, max_size=1).map(tuple),
+                     st.one_of(st.none(), st.integers(0, 4)))
+    return st.lists(work, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(works_lists())
+def test_the_cut_places_every_item_once_and_repeats(works):
+    held = cli._cut(works)
+    assert cli._cut(list(works)) == held
+    assert held == sorted(set(held)) and set(held) <= set(range(len(works)))
+    here = [w for i, w in enumerate(works) if i not in held]
+    if held:
+        lighter = min(sum(cli._costs(here)),
+                      sum(cli._costs([works[i] for i in held])))
+        assert len(here) >= 1 and lighter >= cli.FORK_MIN_MS
+
+
+@needs_fork
+@settings(max_examples=15, deadline=None)
+@given(works_lists())
+def test_forked_results_come_back_in_item_order(works):
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
+                           create=True):
+        got = cli._fork_map(list(range(len(works))),
+                            lambda i: [i, os.getpid()], works, "item")
+    held = cli._cut(works)
+    assert [i for i, _ in got] == list(range(len(works)))
+    assert [pid != os.getpid() for _, pid in got] == [
+        i in held for i in range(len(works))]
     assert_no_child_left()

@@ -407,12 +407,13 @@ def test_one_row_packed_at_two_widths():
         expected = sum(v * 2 ** (8 * bps * c) for c, v in enumerate(row))
         for same in (row, tuple(list(row))):
             assert _pack(same, bps) == expected, bps
-        assert _unpack(_pack(row, bps), len(row), bps) == list(row)
+        assert _unpack(_pack(row, bps), len(row), bps) == row
 
 
 def extreme_rows(top):
-    """Rows of 1, 3 and 6 slots: all +top, all -top, all -1, and each
-    position holding the sign opposite to the rest."""
+    """Rows of 1, 3 and 6 slots: all +top, all -top, all -1, each
+    position holding the sign opposite to the rest, and each position
+    the last nonzero one."""
     for n in (1, 3, 6):
         yield (top,) * n
         yield (-top,) * n
@@ -420,6 +421,8 @@ def extreme_rows(top):
         for p in range(n):
             for v in (top, -top):
                 yield tuple(v if c == p else -v for c in range(n))
+                yield tuple(v if c == p else -v if c < p else 0
+                            for c in range(n))
 
 
 @pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 24, 32, 40])
@@ -431,7 +434,7 @@ def test_pack_round_trip_at_every_width(bps):
         packed = _pack(row, bps)
         assert packed == sum(v * 2 ** (8 * bps * c)
                              for c, v in enumerate(row)), row
-        assert _unpack(packed, len(row), bps) == list(row), row
+        assert _unpack(packed, len(row), bps) == row, row
 
 
 @pytest.mark.parametrize("bps", [1, 2, 4, 8, 16, 24, 32, 40])

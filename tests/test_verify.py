@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from forestcount import dp, verify
 from forestcount.series import BiSeries, mul_reference
 from forestcount.solver import cached_solution
 from forestcount.verify import (CHECKS, ODD_EQUATION, P_MIN, Q_REFERENCE,
-                                ZPolynomial, check_alt_tails,
+                                WORK, ZPolynomial, check_alt_tails,
                                 check_asymptotics, check_codim1_row,
                                 check_cross_routes, check_flat_row,
                                 check_fuss_convolution,
@@ -274,3 +275,50 @@ def test_route_agreement_document_shape():
     assert doc["dp_matches_conventions"] == ["odd"]
     assert doc["annihilating_tail_powers"] == [11]
     assert set(doc["per_convention"]) == {"odd", "linear"}
+
+
+# keyword overrides: none (each check's defaults), the benchmark's suite
+# and what the default `forestcount verify` passes
+SUITES = {
+    "defaults": {},
+    "benchmark": {"row-sum": {"dmax": 24}, "oracle": {"max_degree": 4}},
+    "verify": {"row-sum": {"dmax": 60}, "oracle": {"max_degree": 3},
+               "cross-routes": {"cmax": 10, "dmax": 20},
+               "min-poly": {"cmax": 12, "dmax": 12},
+               "system-equation": {"cmax": 12, "dmax": 12}},
+}
+
+
+@pytest.mark.parametrize("overrides", SUITES.values(), ids=SUITES)
+def test_each_check_does_the_work_it_declares(monkeypatch, overrides):
+    calls = {}
+
+    def spy(kind, module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[kind].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for kind, module, name in (
+            ("solves", verify, "cached_solution"),
+            ("solves", dp, "cached_solution"),     # cross_validate's
+            ("simple", verify, "solve_simple"),
+            ("dp", verify, "dp_table"), ("dp", dp, "dp_table"),
+            ("fills", dp, "_fill"),                # dp_count's too
+            ("oracle", verify, "enumerate_flat")):
+        spy(kind, module, name)
+    assert set(WORK) == set(CHECKS)
+    for name, check in CHECKS.items():
+        kwargs = overrides.get(name, {})
+        calls.update((kind, []) for kind in
+                     ("solves", "simple", "dp", "fills", "oracle"))
+        check(**kwargs)
+        work = WORK[name](**kwargs)
+        degrees = [] if work.oracle is None else range(work.oracle + 1)
+        assert calls == {"solves": list(work.solves),
+                         "simple": list(work.simple),
+                         "dp": list(work.dp), "fills": list(work.dp),
+                         "oracle": [(d,) for d in degrees]}, name

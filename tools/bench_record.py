@@ -5,6 +5,7 @@
     python3 tools/bench_record.py summary BENCH_6.json
     python3 tools/bench_record.py counts --parent DIR --change DIR --seed 11
     python3 tools/bench_record.py digests --parent DIR --change DIR
+    python3 tools/bench_record.py costs --parent DIR --change DIR
 
 Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0` inside the checkout, S being run_seconds in this repository's
@@ -51,6 +52,15 @@ a machine with two CPUs or more (help is printed with COLUMNS=80, so
 that its width is fixed).
 Digests are shown by their first 16 hex digits.  It marks each line
 where the checkouts differ with DIFFERS and exits 1 if any does.
+
+`costs` prints the times that the price rule of `cli._costs` is fitted
+to, in ms, each the best of --rounds rounds (5 by default) in one fresh
+child per checkout and job: every verify check's time in the serial
+suite, in list order (warm), and alone from an empty cache (cold), for
+the benchmark's suite and the default `verify`, beside the change's
+price of each (in order and alone); then the cold odd and linear solves
+of the boxes of README's fork crossover table beside the price of one.
+Each round clears the solution cache and the `_pack` memo first.
 
 Standard library only.
 """
@@ -312,6 +322,99 @@ print(json.dumps(lines))
 """
 
 
+# the benchmark's suite and the default `verify`, as keyword overrides
+COST_SUITES = {
+    "verify --row-sum-dmax 24 --oracle-degree 4":
+        {"row-sum": {"dmax": 24}, "oracle": {"max_degree": 4}},
+    "verify": {},
+}
+# the boxes of README's fork crossover table
+COST_BOXES = ((2, 2), (8, 4), (20, 10), (200, 10), (24, 12), (100, 12),
+              (0, 60), (60, 14), (30, 15), (12, 20), (0, 80), (32, 16),
+              (34, 17), (0, 90), (8, 30), (36, 18), (6, 36), (16, 24),
+              (26, 20), (40, 20), (0, 120), (10, 40), (4, 60), (20, 30),
+              (48, 24), (0, 200), (64, 32), (120, 60))
+COSTS_CHILD = r"""
+import json, sys, time
+from forestcount import series, solver, verify
+
+def cold():
+    solver.clear_cache()
+    series._pack.cache_clear()
+
+def ms(fn, *args, **kwargs):
+    start = time.perf_counter()
+    fn(*args, **kwargs)
+    return (time.perf_counter() - start) * 1000
+
+rounds, job = int(sys.argv[1]), json.loads(sys.argv[2])
+if isinstance(job, dict):       # one suite's overrides
+    names = list(verify.CHECKS)
+    warm = {name: [] for name in names}
+    alone = {name: [] for name in names}
+    for _ in range(rounds):
+        cold()
+        for name in names:      # in list order, as the serial suite
+            warm[name].append(ms(verify.CHECKS[name], **job.get(name, {})))
+        for name in names:
+            cold()
+            alone[name].append(ms(verify.CHECKS[name], **job.get(name, {})))
+    print(json.dumps({name: [min(warm[name]), min(alone[name])]
+                      for name in names}))
+else:                           # boxes to solve cold, by rule
+    times = {}
+    for cmax, dmax in job:
+        for rule in ("odd", "linear"):
+            best = []
+            for _ in range(rounds):
+                cold()
+                best.append(ms(solver.solve_system, rule, cmax, dmax))
+            times[f"{rule} ({cmax},{dmax})"] = [min(best)]
+    print(json.dumps(times))
+"""
+PRICE_CHILD = r"""
+import json, sys
+from forestcount import cli, verify
+
+job = json.loads(sys.argv[1])
+if isinstance(job, dict):
+    works = [verify.WORK[name](**job.get(name, {})) for name in verify.CHECKS]
+    in_order = cli._costs(works)
+    print(json.dumps({name: [in_order[i], cli._costs(works[i:i + 1])[0]]
+                      for i, name in enumerate(verify.CHECKS)}))
+else:
+    print(json.dumps({f"{rule} ({c},{d})": [cli._solve_ms(c, d)]
+                      for c, d in job for rule in ("odd", "linear")}))
+"""
+
+
+def costs(parent: Path, change: Path, rounds: int) -> None:
+    """Print each check's measured time in the serial suite (warm) and
+    alone (cold) in both checkouts beside the change's price, for the
+    suites of COST_SUITES, then each COST_BOXES box's cold solve time
+    beside its price.  Every checkout runs each job in one fresh child,
+    the best of `rounds` rounds, each round from an empty cache."""
+    for label, job in [*COST_SUITES.items(), ("cold solves", COST_BOXES)]:
+        text = json.dumps(job)
+        sides = [child(checkout, COSTS_CHILD, str(rounds), text)
+                 for checkout in (parent, change)]
+        prices = child(change, PRICE_CHILD, text)
+        print(f"{label} (ms; best of {rounds}):")
+        if isinstance(job, dict):
+            print(f"  {'check':20} {'parent':>15} {'change':>15} "
+                  f"{'price':>15}")
+            print(f"  {'':20} " + " ".join(f"{h:>7}" for h in
+                                            ("warm", "cold") * 3))
+        else:
+            print(f"  {'box':20} {'parent':>7} {'change':>7} {'price':>7}")
+        rows = {name: sides[0][name] + sides[1][name] + price
+                for name, price in prices.items()}
+        if isinstance(job, dict):
+            rows["all"] = [sum(col) for col in zip(*rows.values())]
+        for name, row in rows.items():
+            print(f"  {name:20} " + " ".join(f"{v:7.1f}" for v in row))
+
+
 def digests(parent: Path, change: Path) -> bool:
     """Print both checkouts' output digests side by side; return whether
     they all agree."""
@@ -340,6 +443,10 @@ def main(argv=None) -> int:
     count.add_argument("--parent", type=Path, required=True)
     count.add_argument("--change", type=Path, required=True)
     count.add_argument("--seed", type=int, required=True)
+    cost = sub.add_parser("costs")
+    cost.add_argument("--parent", type=Path, required=True)
+    cost.add_argument("--change", type=Path, required=True)
+    cost.add_argument("--rounds", type=int, default=5)
     digest = sub.add_parser("digests")
     digest.add_argument("--parent", type=Path, required=True)
     digest.add_argument("--change", type=Path, required=True)
@@ -349,6 +456,8 @@ def main(argv=None) -> int:
         summary(args.path)
     elif args.cmd == "counts":
         return 0 if counts(args.parent, args.change, args.seed) else 1
+    elif args.cmd == "costs":
+        costs(args.parent, args.change, args.rounds)
     elif args.cmd == "digests":
         return 0 if digests(args.parent, args.change) else 1
     else:
