@@ -221,10 +221,11 @@ class BiSeries:
             raise ValueError("box bounds must be nonnegative")
         if c < 0 or d < 0:
             raise ValueError("exponents must be nonnegative")
-        rows = [[0] * (cmax + 1) for _ in range(dmax + 1)]
+        zero_row = (0,) * (cmax + 1)
+        rows = [zero_row] * (dmax + 1)
         if c <= cmax and d <= dmax:
-            rows[d][c] = coeff
-        return cls(cmax, dmax, tuple(tuple(r) for r in rows))
+            rows[d] = zero_row[:c] + (coeff,) + zero_row[c + 1:]
+        return cls(cmax, dmax, tuple(rows))
 
     @classmethod
     def from_terms(cls, cmax: int, dmax: int,
@@ -261,6 +262,14 @@ class BiSeries:
 
     def is_zero(self) -> bool:
         return all(not any(row) for row in self._rows)
+
+    def valuation(self) -> int:
+        """The first row d holding a nonzero coefficient (the y-valuation),
+        dmax + 1 for the zero series."""
+        for d, row in enumerate(self._rows):
+            if any(row):
+                return d
+        return self.dmax + 1
 
     def box(self) -> tuple[int, int]:
         return (self.cmax, self.dmax)
@@ -389,6 +398,15 @@ class BiSeries:
         zero_row = (0,) * (self.cmax + 1)
         rows = self._rows + (zero_row,) * (dmax - self.dmax)
         return BiSeries(self.cmax, dmax, rows)
+
+    def widen(self, cmax: int) -> "BiSeries":
+        """The series zero-extended to the wider box (cmax, dmax)."""
+        if cmax < self.cmax:
+            raise ValueError(f"({cmax},{self.dmax}) is narrower than box "
+                             f"({self.cmax},{self.dmax})")
+        zeros = (0,) * (cmax - self.cmax)
+        rows = tuple(row + zeros for row in self._rows)
+        return BiSeries(cmax, self.dmax, rows)
 
     # ------------------------------------------------------------------
     # division

@@ -17,9 +17,10 @@ Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
 n4 = G(n4) for simple configurations), solved by Newton's iteration,
 each step of which can double the number of exact y-degrees (Brent and
 Kung, J. ACM 25(4), 1978; von zur Gathen and Gerhard, Modern Computer
-Algebra, section 9; see _newton).  n3 is then read off Newton's last
-step with one product (see solve_system).  Every solution is checked on
-its full box before it is returned (see _check_solved).
+Algebra, section 9; see _newton).  n1 and n3 are then read off Newton's
+last step with one product each, on its top rows (see solve_system).
+Every solution is checked on its full box before it is returned (see
+_check_solved).
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def _check_solved(n1: BiSeries, n2: BiSeries, n3: BiSeries,
                   split: TailSplit) -> None:
     """Raise SolverError unless n2 = n1 n3, the meeting-point equation
     and nonnegativity hold on the box, for an n1 = 1 + y n2^4 taken as
-    given: solve_system built it, and verify() has just compared it."""
+    given: solve_system builds it from the last Newton step, exact by
+    the argument of _n1_from, and verify() compares it with _n1_of."""
     if n1 * n3 != n2:
         raise SolverError("equation n2 = n1 n3 violated")
     # truncation to the box is a ring homomorphism, so with both
@@ -278,7 +280,7 @@ def _newton(step, cmax: int, dmax: int,
         g, dg = step(z, e)
         num = g - z
         if seed is not None:
-            m = next((d for _, d, _ in num.terms()), q)  # first nonzero row
+            m = num.valuation()
             if m < p:
                 return _newton(step, cmax, dmax,
                                z.crop(cmax, m - 1) if m >= 2 else None)
@@ -302,9 +304,11 @@ def _system_step(split: TailSplit):
     this is t R' = k0 R + x^s t R / D with x^s t / D = 1/D - 1.  A step
     thus takes k0 - 1 products for powers of t and two divisions by D.
 
-    Each call keeps step.last = (z, w, r, 5 - 4r), w = z / n1, for
-    _n3_of; step.last is None until the first call.  Every solve builds
-    its own step, so solves in different threads share nothing.
+    Each call keeps step.last = (z, w, r, 5 - 4r, n1, 4 z^3), w = z / n1,
+    for _n3_of and _n1_from: n1 on the step's box and 4 z^3, the factor
+    of G', on the box (cmax, e) of G'.  step.last is None until the first
+    call.  Every solve builds its own step, so solves in different threads
+    share nothing.
     """
 
     def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
@@ -329,9 +333,9 @@ def _system_step(split: TailSplit):
         g = n1 + z * tt
         r = a.crop(cmax, e).divide(n1.crop(cmax, e))
         five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)
-        dg = ((z2.crop(cmax, e) * z.crop(cmax, e)).scale(4).shift(0, 1)
-              + tt.crop(cmax, e) + kt * five_4r)
-        step.last = z, w, r, five_4r
+        four_z3 = (z2.crop(cmax, e) * z.crop(cmax, e)).scale(4)
+        dg = four_z3.shift(0, 1) + tt.crop(cmax, e) + kt * five_4r
+        step.last = z, w, r, five_4r, n1, four_z3
         return g, dg
 
     step.last = None
@@ -356,9 +360,35 @@ def _n3_of(n2: BiSeries, last) -> BiSeries:
     """
     if last is None:                        # dmax = 0: no step, n1 = 1
         return n2
-    z, w, r, five_4r = last
+    z, w, r, five_4r, _, _ = last
     factor = BiSeries.one(r.cmax, r.dmax) - r * five_4r
     return w + (n2 - z) * factor.pad(n2.dmax)
+
+
+def _n1_from(n2: BiSeries, last) -> BiSeries:
+    """n1 = 1 + y n2^4 on n2's box, from the values that the last Newton
+    step kept (see _system_step): the step from z, with p exact rows, to
+    n2 on the box (cmax, dmax), e = dmax - p.
+
+    With n1_z = 1 + y z^4 and delta = n2 - z,
+    n1 = n1_z + 4 y z^3 delta + 6 y z^2 delta^2 + ... on the box.  delta
+    has y-valuation >= p and the ladder keeps dmax + 1 <= 2p, so
+    y delta^2 and every later term vanish there, and n1 = n1_z +
+    4 y z^3 delta exactly, as in _n3_of.  y shifts out the top row, so
+    the one product pairs delta's top rows, through row dmax - 1, with
+    rows <= e - 1 of 4 z^3.  A delta with a nonzero row below p comes
+    only from a wrong step; then n1 is rebuilt by _n1_of, so that
+    _check_solved sees the n1 of that n2 and rejects it as ever.
+    """
+    if last is None:                        # dmax = 0: no step, n1 = 1
+        return BiSeries.one(n2.cmax, 0)
+    z, _, _, _, n1_z, four_z3 = last
+    dmax = n2.dmax
+    delta = n2 - z
+    if delta.valuation() < dmax - four_z3.dmax:
+        return _n1_of(n2)
+    tail = _below(delta, 1) * four_z3.pad(dmax - 1)
+    return n1_z + tail.pad(dmax).shift(0, 1)
 
 
 def solve_system(convention: str | CodimWeight, cmax: int,
@@ -367,14 +397,16 @@ def solve_system(convention: str | CodimWeight, cmax: int,
 
     n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
     started from the exact leading rows of a cached n2 of the same rule
-    when the cache holds one (see _seed), then n1 = 1 + y n2^4, and
-    n3 = n2 / n1 from what the last Newton step kept, with one product
-    and no quotient (see _n3_of).  Returns the unique solution with
-    nonnegative coefficients, whatever the cache holds.  n2 = n1 n3 (a
-    full-box product, which checks n3), the meeting-point equation and
+    when the cache holds one (see _seed).  n1 = 1 + y n2^4 and
+    n3 = n2 / n1 are then read off what the last Newton step kept, with
+    one product each on its top rows, no square and no quotient (see
+    _n1_from and _n3_of).  Returns the unique solution with nonnegative
+    coefficients, whatever the cache holds.  n2 = n1 n3 (a full-box
+    product, which checks n3), the meeting-point equation and
     nonnegativity are always checked on the full box (_check_solved),
     which raises NegativeCoefficientError if any count comes out
-    negative; n1 holds by construction, so it is built only once.
+    negative; n1 holds by construction (SystemSolution.verify rebuilds
+    it with _n1_of), so it is built only once.
     """
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
@@ -384,7 +416,7 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     seed = _seed(conv.name, tuple(weights), cmax, dmax)
     step = _system_step(split)
     n2 = _newton(step, cmax, dmax, seed)
-    n1 = _n1_of(n2)
+    n1 = _n1_from(n2, step.last)
     n3 = _n3_of(n2, step.last)
     _check_solved(n1, n2, n3, split)
     return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
@@ -486,9 +518,7 @@ def _seed(name: str, weights: tuple[int, ...], cmax: int,
             best, rows = sol.n2, p
     if best is None:
         return None
-    low = best.crop(min(best.cmax, cmax), rows - 1)
-    return BiSeries.from_terms(cmax, rows - 1,
-                               {(c, d): v for c, d, v in low.terms()})
+    return best.crop(min(best.cmax, cmax), rows - 1).widen(cmax)
 
 
 def clear_cache() -> None:

@@ -129,6 +129,35 @@ def test_pad_zero_extends_to_a_taller_box():
     assert (a.pad(6) * b.pad(6)).crop(3, 2) == a * b
 
 
+def test_widen_zero_extends_to_a_wider_box():
+    a = series_from(2, 3, {(0, 0): 1, (1, 2): -5, (2, 3): 7})
+    wide = a.widen(5)
+    assert wide.box() == (5, 3)
+    assert wide == series_from(5, 3, dict(((c, d), v)
+                                          for c, d, v in a.terms()))
+    assert wide.crop(2, 3) == a
+    assert a.widen(2) == a
+    with pytest.raises(ValueError):
+        a.widen(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 7),
+       st.integers(0, 7), st.integers(-9, 9))
+def test_monomial_matches_a_cell_by_cell_build(cmax, dmax, c, d, coeff):
+    # the construction of every row as its own list of cells, which
+    # monomial's shared zero rows replace; (c, d) may lie outside the box
+    rows = [[0] * (cmax + 1) for _ in range(dmax + 1)]
+    if c <= cmax and d <= dmax:
+        rows[d][c] = coeff
+    cells = BiSeries(cmax, dmax, tuple(tuple(r) for r in rows))
+    m = BiSeries.monomial(cmax, dmax, c, d, coeff)
+    assert m == cells
+    assert all(type(row) is tuple and len(row) == cmax + 1
+               for row in m._rows)
+    assert BiSeries.one(cmax, dmax) == BiSeries.monomial(cmax, dmax, 0, 0)
+
+
 # ----------------------------------------------------------------------
 # pow
 # ----------------------------------------------------------------------
@@ -399,6 +428,14 @@ def series_with_zero_rows(draw):
 def test_square_matches_general_product_and_reference(a):
     # a * a takes the square path, a * renewed(a) the general one
     assert a * a == a * renewed(a) == mul_reference(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_with_zero_rows())
+def test_valuation_is_the_first_nonzero_row(a):
+    first = next((d for _, d, _ in a.terms()), a.dmax + 1)
+    assert a.valuation() == first
+    assert a.is_zero() == (a.valuation() == a.dmax + 1)
 
 
 def test_one_row_packed_at_two_widths():

@@ -371,24 +371,80 @@ def test_solve_path_rejects_another_conventions_root(monkeypatch):
 SQUARE = RULES[2]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(RULES), st.integers(0, 10), st.integers(0, 10),
-       st.one_of(st.none(), st.tuples(st.integers(0, 10),
-                                      st.integers(1, 9))))
-@example(ODD, 0, 0, None)
-@example(LINEAR, 3, 1, None)
-@example(SQUARE, 0, 2, (0, 1))
-@example(SQUARE, 5, 2, (5, 1))
-@example(SQUARE, 5, 3, (3, 2))              # a seed of 3 rows restarts
-def test_n3_is_the_quotient_n2_over_n1(conv, cmax, dmax, cached):
-    # cold from an empty cache, or seeded from a cached box, through a
-    # restart when the seed's rows fail the first step (weight(k) = k^2
-    # from (3,2) to (5,3))
+def solved_cases(test):
+    """Run test(conv, cmax, dmax, cached) on boxes of every rule in RULES
+    that solve_system solves cold from an empty cache, or seeded from a
+    cached box, through a restart when the seed's rows fail the first
+    step (weight(k) = k^2 from (3,2) to (5,3))."""
+    for case in ((ODD, 0, 0, None), (LINEAR, 3, 1, None),
+                 (SQUARE, 0, 2, (0, 1)), (SQUARE, 5, 2, (5, 1)),
+                 (SQUARE, 5, 3, (3, 2))):   # a seed of 3 rows restarts
+        test = example(*case)(test)
+    cached = st.one_of(st.none(), st.tuples(st.integers(0, 10),
+                                            st.integers(1, 9)))
+    test = given(st.sampled_from(RULES), st.integers(0, 10),
+                 st.integers(0, 10), cached)(test)
+    return settings(max_examples=150, deadline=None)(test)
+
+
+def solved(conv, cmax, dmax, cached):
     clear_cache()
     if cached:
         cached_solution(conv, *cached)
     sol = solve_system(conv, cmax, dmax)
+    clear_cache()
+    return sol
+
+
+@solved_cases
+def test_n3_is_the_quotient_n2_over_n1(conv, cmax, dmax, cached):
+    sol = solved(conv, cmax, dmax, cached)
     assert sol.n3 == sol.n2.divide(sol.n1), (conv.name, cmax, dmax, cached)
+
+
+@solved_cases
+def test_n1_is_one_plus_y_n2_to_the_fourth(conv, cmax, dmax, cached):
+    # n1 comes from the last Newton step; _n1_of builds it from n2 alone
+    sol = solved(conv, cmax, dmax, cached)
+    assert sol.n1 == solver._n1_of(sol.n2), (conv.name, cmax, dmax, cached)
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
+    # cold, seeded and restarted solves take n1 from the last Newton step;
+    # only an n2 with a wrong row below that step's start, as the row-1
+    # bump of test_solve_path_rejects_a_wrong_tail makes, rebuilds it
+    n1_of, newton, calls = solver._n1_of, solver._newton, []
+
+    def spy(n2):
+        calls.append(n2.box())
+        return n1_of(n2)
+
+    monkeypatch.setattr(solver, "_n1_of", spy)
+    for cached, box in ((None, (0, 0)), (None, (3, 1)), (None, (8, 8)),
+                        ((8, 5), (8, 8)), ((3, 2), (5, 3)),
+                        ((0, 1), (0, 2)), ((5, 1), (5, 2))):
+        solved(conv, *box, cached)
+    clear_cache()
+    for dmax in range(1, 13):               # a count session's frontier
+        cached_solution(conv, 2 * dmax - 1, dmax)
+    assert calls == []
+
+    def bumped(step, cmax, dmax, seed=None):
+        return newton(step, cmax, dmax, seed) + bump
+
+    for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
+        bump = BiSeries.monomial(8, 8, c, d)
+        for cached in (None, (8, 5)):
+            monkeypatch.setattr(solver, "_newton", newton)
+            clear_cache()
+            if cached:
+                cached_solution(conv, *cached)
+            monkeypatch.setattr(solver, "_newton", bumped)
+            calls.clear()
+            with pytest.raises(SolverError):
+                solve_system(conv, 8, 8)
+            assert calls == ([(8, 8)] if d == 1 else []), (c, d, cached)
     clear_cache()
 
 
@@ -644,6 +700,29 @@ def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
         newton_calls.clear()
         assert solver._newton(step, 8, 8, seed) == cold, bump
         assert newton_calls == calls, bump
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ODD, LINEAR, SQUARE]), st.integers(0, 10),
+       st.integers(1, 9), st.integers(0, 12), st.integers(0, 12))
+@example(ODD, 10, 9, 4, 12)                 # a wider cached box
+@example(ODD, 3, 9, 10, 12)                 # a narrower one
+def test_seed_widens_the_cached_rows_as_a_term_map_does(conv, cm, dm, cmax,
+                                                        dmax):
+    # the construction that _seed's widening by zero columns replaces:
+    # the cropped rows' terms rebuilt on the query's box
+    clear_cache()
+    n2 = cached_solution(conv, cm, dm).n2
+    weights = tuple(conv.table(dmax))
+    seed = solver._seed(conv.name, weights, cmax, dmax)
+    clear_cache()
+    if seed is None:
+        return
+    rows = seed.dmax + 1
+    assert 2 <= rows <= min(dm + 1, dmax)
+    low = n2.crop(min(cm, cmax), rows - 1)
+    assert seed == BiSeries.from_terms(cmax, rows - 1,
+                                       {(c, d): v for c, d, v in low.terms()})
 
 
 def test_seeded_ladder_climbs_the_rungs_above_the_seed():
