@@ -499,13 +499,14 @@ def cmd_verify(args) -> int:
     # built on the cross-routes box
     names = [args.only] if args.only else list(CHECKS)
     works = [WORK[name](**overrides.get(name, {})) for name in names]
-    for name in (names + ["cross-routes"] if args.artifact else names):
-        if name in overrides:
-            work = WORK[name](**overrides[name])
-            if work.oracle is not None:
-                _guard_oracle(work.oracle)
-            for box in [box[1:] for box in work.solves] + list(work.dp):
-                _guard_box(*box)
+    sized = [work for name, work in zip(names, works) if name in overrides]
+    if args.artifact:
+        sized.append(WORK["cross-routes"](**overrides["cross-routes"]))
+    for work in sized:
+        if work.oracle is not None:
+            _guard_oracle(work.oracle)
+        for box in [box[1:] for box in work.solves] + list(work.dp):
+            _guard_box(*box)
     _claim(args.output, args.artifact)
     reports = _fork_map(names, lambda name: run_suite(name, overrides)[0],
                         works, "check")

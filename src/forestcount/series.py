@@ -390,6 +390,15 @@ class BiSeries:
         rows = tuple(row[:cmax + 1] for row in self._rows[:dmax + 1])
         return BiSeries(cmax, dmax, rows)
 
+    def drop(self, k: int) -> "BiSeries":
+        """Rows k..dmax, on the box (cmax, dmax - k): the series divided
+        by y^k once its rows below k are dropped.  pad(dmax).shift(0, k)
+        puts them back on the taller box."""
+        if not 0 <= k <= self.dmax:
+            raise ValueError(f"cannot drop {k} rows of box "
+                             f"({self.cmax},{self.dmax})")
+        return BiSeries(self.cmax, self.dmax - k, self._rows[k:])
+
     def pad(self, dmax: int) -> "BiSeries":
         """The series zero-extended to the taller box (cmax, dmax)."""
         if dmax < self.dmax:

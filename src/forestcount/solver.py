@@ -17,8 +17,8 @@ Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
 n4 = G(n4) for simple configurations), solved by Newton's iteration,
 each step of which can double the number of exact y-degrees (Brent and
 Kung, J. ACM 25(4), 1978; von zur Gathen and Gerhard, Modern Computer
-Algebra, section 9; see _newton).  n1 and n3 are then read off Newton's
-last step with one product each, on its top rows (see solve_system).
+Algebra, section 9; see _newton).  n1 and n3 are then read off the
+rows that Newton's last step added, with one product each (_read_off).
 Every solution is checked on its full box before it is returned (see
 _check_solved).
 """
@@ -211,8 +211,9 @@ def _check_solved(n1: BiSeries, n2: BiSeries, n3: BiSeries,
                   split: TailSplit) -> None:
     """Raise SolverError unless n2 = n1 n3, the meeting-point equation
     and nonnegativity hold on the box, for an n1 = 1 + y n2^4 taken as
-    given: solve_system builds it from the last Newton step, exact by
-    the argument of _n1_from, and verify() compares it with _n1_of."""
+    given: solve_system reads it off the last Newton step, exact unless
+    n2 = n1 n3 fails (see _read_off), and verify() compares it with
+    _n1_of."""
     if n1 * n3 != n2:
         raise SolverError("equation n2 = n1 n3 violated")
     # truncation to the box is a ring homomorphism, so with both
@@ -304,11 +305,11 @@ def _system_step(split: TailSplit):
     this is t R' = k0 R + x^s t R / D with x^s t / D = 1/D - 1.  A step
     thus takes k0 - 1 products for powers of t and two divisions by D.
 
-    Each call keeps step.last = (z, w, r, 5 - 4r, n1, 4 z^3), w = z / n1,
-    for _n3_of and _n1_from: n1 on the step's box and 4 z^3, the factor
-    of G', on the box (cmax, e) of G'.  step.last is None until the first
-    call.  Every solve builds its own step, so solves in different threads
-    share nothing.
+    Each call keeps step.last = (w, r, 5 - 4r, n1, 4 z^3), w = z / n1,
+    for _read_off: w and n1 on the step's box, the rest on the box
+    (cmax, e) of G', 4 z^3 being the factor of G'.  step.last is None
+    until the first call.  Every solve builds its own step, so solves in
+    different threads share nothing.
     """
 
     def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
@@ -335,60 +336,45 @@ def _system_step(split: TailSplit):
         five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)
         four_z3 = (z2.crop(cmax, e) * z.crop(cmax, e)).scale(4)
         dg = four_z3.shift(0, 1) + tt.crop(cmax, e) + kt * five_4r
-        step.last = z, w, r, five_4r, n1, four_z3
+        step.last = w, r, five_4r, n1, four_z3
         return g, dg
 
     step.last = None
     return step
 
 
-def _n3_of(n2: BiSeries, last) -> BiSeries:
-    """n3 = n2 / n1 on n2's box, n1 = 1 + y n2^4, from the values that
-    the last Newton step kept (see _system_step): the step from z, with
-    p exact rows, to n2 on the box (cmax, dmax), e = dmax - p.
+def _read_off(n2: BiSeries, last) -> tuple[BiSeries, BiSeries]:
+    """(n1, n3) on n2's box, n1 = 1 + y n2^4 and n3 = n2 / n1, from the
+    values that the last Newton step kept (see _system_step): the step
+    from z, with p exact rows, to n2 on the box (cmax, dmax), e = dmax - p.
 
-    With n1_z = 1 + a, a = y z^4, w = z / n1_z, r = a / n1_z and
-    delta = n2 - z, n3 = w + delta (1 - r)(1 - 4r) on the box, where
-    (1 - r)(1 - 4r) = 1 - r (5 - 4r).  delta has y-valuation >= p and the
-    ladder keeps dmax + 1 <= 2p, so y delta^2 and the product of
-    n3 - w and n1 - n1_z = 4 y z^3 delta vanish on the box.  Then
-    n1 n3 - n1_z w = delta gives n1_z (n3 - w) = delta (1 - 4 y z^3 w)
-    = delta (1 - 4r), and 1 / n1_z = 1 - r.  Only rows <= e of the
-    factor meet delta, so r is needed on the box (cmax, e) only, and the
-    one product pairs delta's top e + 1 rows with the factor's e + 1.
-    It shares no quotient with the check n1 n3 = n2 (_check_solved).
+    z is zero above row p - 1, so with D = n2.drop(p), the rows p..dmax
+    of n2, n2 = z + y^p D when n2's rows below p are z's.  With
+    n1_z = 1 + a, a = y z^4, w = z / n1_z and r = a / n1_z, the ladder
+    keeps dmax + 1 <= 2p, so every term with D^2 vanishes on the box and
+    n1 = n1_z + y^(p+1) 4 z^3 D.  Then n1 n3 - n1_z w = y^p D gives
+    n1_z (n3 - w) = y^p D (1 - 4 y z^3 w) = y^p D (1 - 4r), and with
+    1 / n1_z = 1 - r, n3 = w + y^p D (1 - r)(1 - 4r), where
+    (1 - r)(1 - 4r) = 1 - r (5 - 4r).  Only rows <= e of each factor
+    meet D, so n3's product is on the box (cmax, e) and n1's, whose top
+    row y^(p+1) shifts out, on (cmax, e - 1).  Neither shares a quotient
+    with the check n1 n3 = n2 (_check_solved).
+
+    Below row p, n1 and n3 are n1_z and w whatever n2 holds, and
+    n1_z w = z exactly.  So if row m < p is the first row where n2 and
+    z part, which only a wrong step makes, (n1 n3)_m = z_m differs from
+    n2's row m, and _check_solved rejects n2 = n1 n3.
     """
     if last is None:                        # dmax = 0: no step, n1 = 1
-        return n2
-    z, w, r, five_4r, _, _ = last
-    factor = BiSeries.one(r.cmax, r.dmax) - r * five_4r
-    return w + (n2 - z) * factor.pad(n2.dmax)
-
-
-def _n1_from(n2: BiSeries, last) -> BiSeries:
-    """n1 = 1 + y n2^4 on n2's box, from the values that the last Newton
-    step kept (see _system_step): the step from z, with p exact rows, to
-    n2 on the box (cmax, dmax), e = dmax - p.
-
-    With n1_z = 1 + y z^4 and delta = n2 - z,
-    n1 = n1_z + 4 y z^3 delta + 6 y z^2 delta^2 + ... on the box.  delta
-    has y-valuation >= p and the ladder keeps dmax + 1 <= 2p, so
-    y delta^2 and every later term vanish there, and n1 = n1_z +
-    4 y z^3 delta exactly, as in _n3_of.  y shifts out the top row, so
-    the one product pairs delta's top rows, through row dmax - 1, with
-    rows <= e - 1 of 4 z^3.  A delta with a nonzero row below p comes
-    only from a wrong step; then n1 is rebuilt by _n1_of, so that
-    _check_solved sees the n1 of that n2 and rejects it as ever.
-    """
-    if last is None:                        # dmax = 0: no step, n1 = 1
-        return BiSeries.one(n2.cmax, 0)
-    z, _, _, _, n1_z, four_z3 = last
-    dmax = n2.dmax
-    delta = n2 - z
-    if delta.valuation() < dmax - four_z3.dmax:
-        return _n1_of(n2)
-    tail = _below(delta, 1) * four_z3.pad(dmax - 1)
-    return n1_z + tail.pad(dmax).shift(0, 1)
+        return BiSeries.one(n2.cmax, 0), n2
+    w, r, five_4r, n1_z, four_z3 = last
+    dmax, e = n2.dmax, r.dmax
+    p = dmax - e
+    top = n2.drop(p)
+    factor = BiSeries.one(r.cmax, e) - r * five_4r
+    n3 = w + (top * factor).pad(dmax).shift(0, p)
+    tail = _below(top, 1) * _below(four_z3, 1)
+    return n1_z + tail.pad(dmax).shift(0, p + 1), n3
 
 
 def solve_system(convention: str | CodimWeight, cmax: int,
@@ -398,11 +384,12 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
     started from the exact leading rows of a cached n2 of the same rule
     when the cache holds one (see _seed).  n1 = 1 + y n2^4 and
-    n3 = n2 / n1 are then read off what the last Newton step kept, with
-    one product each on its top rows, no square and no quotient (see
-    _n1_from and _n3_of).  Returns the unique solution with nonnegative
-    coefficients, whatever the cache holds.  n2 = n1 n3 (a full-box
-    product, which checks n3), the meeting-point equation and
+    n3 = n2 / n1 are then read off the rows of n2 that the last Newton
+    step added and what that step kept, with one product each on as many
+    rows, no square and no quotient (see _read_off).  Returns the unique
+    solution with nonnegative coefficients, whatever the cache holds.
+    n2 = n1 n3 (a full-box product, which checks n3 and rejects a wrong
+    row below the last step's start), the meeting-point equation and
     nonnegativity are always checked on the full box (_check_solved),
     which raises NegativeCoefficientError if any count comes out
     negative; n1 holds by construction (SystemSolution.verify rebuilds
@@ -416,8 +403,7 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     seed = _seed(conv.name, tuple(weights), cmax, dmax)
     step = _system_step(split)
     n2 = _newton(step, cmax, dmax, seed)
-    n1 = _n1_from(n2, step.last)
-    n3 = _n3_of(n2, step.last)
+    n1, n3 = _read_off(n2, step.last)
     _check_solved(n1, n2, n3, split)
     return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
 

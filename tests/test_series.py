@@ -127,6 +127,17 @@ def test_pad_zero_extends_to_a_taller_box():
         a.pad(1)
     # a product on the taller box is exact on the original rows
     assert (a.pad(6) * b.pad(6)).crop(3, 2) == a * b
+    # drop(k) keeps rows k..dmax; padded and shifted back, rows below k
+    # are zero and the rest unchanged
+    for s in (a, b, tall):
+        for k in range(s.dmax + 1):
+            low = {(c, d): v for c, d, v in s.terms() if d >= k}
+            assert s.drop(k).box() == (3, s.dmax - k)
+            assert s.drop(k).pad(s.dmax).shift(0, k) == \
+                series_from(3, s.dmax, low)
+        for k in (-1, s.dmax + 1):
+            with pytest.raises(ValueError):
+                s.drop(k)
 
 
 def test_widen_zero_extends_to_a_wider_box():

@@ -282,11 +282,15 @@ def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
     # has returned, so the product n1 n3 is what checks it, on the cold
     # path (an empty cache) and on the seeded one (a miss above a cached
     # box)
-    divide, n3_of, events = BiSeries.divide, solver._n3_of, []
+    divide, read_off, events = BiSeries.divide, solver._read_off, []
 
     def spy(num, den):
         events.append(("divide", None))
         return divide(num, den)
+
+    def bumped(n2, last):
+        n1, n3 = read_off(n2, last)
+        return n1, n3 + bump
 
     monkeypatch.setattr(BiSeries, "divide", spy)
     spy_newton(monkeypatch, events)
@@ -301,11 +305,10 @@ def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
         bump = BiSeries.monomial(6, 6, c, d)
         for seeded in (False, True):
             clear_cache()
-            monkeypatch.setattr(solver, "_n3_of", n3_of)
+            monkeypatch.setattr(solver, "_read_off", read_off)
             if seeded:
                 cached_solution(conv, 6, 4)
-            monkeypatch.setattr(solver, "_n3_of",
-                                lambda n2, last: n3_of(n2, last) + bump)
+            monkeypatch.setattr(solver, "_read_off", bumped)
             events.clear()
             with pytest.raises(SolverError, match="n2 = n1 n3"):
                 solve_system(conv, 6, 6)
@@ -318,16 +321,18 @@ def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
     # n1 and n3 are built from a bumped n2 on the solve path itself, on
     # the cold path (an empty cache) and on the seeded one (a miss above
     # a cached box).  A bump in the top row, which the last Newton step
-    # makes exact, leaves n3 = n2 / n1 and only the meeting-point
-    # equation fails; one in row 1, which that step starts from, breaks
-    # n2 = n1 n3 first
+    # makes exact, leaves n1 = 1 + y n2^4 and n3 = n2 / n1, and only the
+    # meeting-point equation fails; one in a row that step starts from
+    # (rows 0, 1 and 4, the last one cold, below p = 5 cold and p = 6
+    # seeded) breaks n2 = n1 n3 first
     newton, seeds = solver._newton, []
 
     def bumped(step, cmax, dmax, seed=None):
         seeds.append(seed)
         return newton(step, cmax, dmax, seed) + bump
 
-    for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
+    for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1), (0, 0),
+                 (0, 4)):
         bump = BiSeries.monomial(8, 8, c, d)
         message = "meeting-point" if d == 8 else "n2 = n1 n3"
         clear_cache()
@@ -411,9 +416,10 @@ def test_n1_is_one_plus_y_n2_to_the_fourth(conv, cmax, dmax, cached):
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
-    # cold, seeded and restarted solves take n1 from the last Newton step;
-    # only an n2 with a wrong row below that step's start, as the row-1
-    # bump of test_solve_path_rejects_a_wrong_tail makes, rebuilds it
+    # cold, seeded and restarted solves take n1 from the last Newton step,
+    # and so does an n2 with a wrong row: one below that step's start, as
+    # the row-1 bump of test_solve_path_rejects_a_wrong_tail makes, fails
+    # n2 = n1 n3 with no n1 rebuilt from n2
     n1_of, newton, calls = solver._n1_of, solver._newton, []
 
     def spy(n2):
@@ -435,6 +441,7 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
 
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
         bump = BiSeries.monomial(8, 8, c, d)
+        message = "meeting-point" if d == 8 else "n2 = n1 n3"
         for cached in (None, (8, 5)):
             monkeypatch.setattr(solver, "_newton", newton)
             clear_cache()
@@ -442,9 +449,9 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
                 cached_solution(conv, *cached)
             monkeypatch.setattr(solver, "_newton", bumped)
             calls.clear()
-            with pytest.raises(SolverError):
+            with pytest.raises(SolverError, match=message):
                 solve_system(conv, 8, 8)
-            assert calls == ([(8, 8)] if d == 1 else []), (c, d, cached)
+            assert calls == [], (c, d, cached)
     clear_cache()
 
 

@@ -44,12 +44,12 @@ A change that keeps every pack keeps all three.
 and the checkout as working directory, and prints side by side what a
 change that keeps every count and report must keep, as DIGEST_CHILD
 lists it: the SHA-256 of solver rows, among them boxes where the `_pack`
-memo evicts, every box with cmax <= 3 and dmax <= 2 (the ladders of no
-Newton step and of one) and seeded frontier sweeps, and the exit code
-and SHA-256
-of CLI outputs, among them those the CLI shares with a forked worker on
-a machine with two CPUs or more (help is printed with COLUMNS=80, so
-that its width is fixed).
+memo evicts, every box with cmax <= 3 and dmax <= 3 (from no Newton
+step up to a last step from p = 2 with e = 1, the first whose product
+for n1's top rows lands on the box) and seeded frontier sweeps, and the
+exit code and SHA-256 of CLI outputs, among them those the CLI shares
+with a forked worker on a machine with two CPUs or more (help is
+printed with COLUMNS=80, so that its width is fixed).
 Digests are shown by their first 16 hex digits.  It marks each line
 where the checkouts differ with DIFFERS and exits 1 if any does.
 
@@ -271,8 +271,8 @@ sol = solve_system(square, 40, 20)
 lines["k^2 (40,20) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
 for name, conv in (("odd", "odd"), ("linear", "linear"), ("k^2", square)):
     sols = [solve_system(conv, cmax, dmax)
-            for cmax in range(4) for dmax in range(3)]
-    lines[f"{name} every (c<=3,d<=2) n1/n2/n3"] = rows(
+            for cmax in range(4) for dmax in range(4)]
+    lines[f"{name} every (c<=3,d<=3) n1/n2/n3"] = rows(
         *(s for sol in sols for s in (sol.n1, sol.n2, sol.n3)))
 for name, conv, top in (("odd", "odd", 24), ("linear", "linear", 24),
                         ("k^2", square, 16)):
