@@ -120,7 +120,7 @@ def _unpack(acc: int, nslots: int, bps: int) -> tuple[int, ...]:
 
 def _row_bits(rows: Sequence[Sequence[int]]) -> list[int]:
     """max|v|.bit_length() of each row: 0 exactly for an all-zero row."""
-    return [max(map(abs, r)).bit_length() for r in rows]
+    return [max(map(abs, r)).bit_length() if any(r) else 0 for r in rows]
 
 
 def _convolve(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]],

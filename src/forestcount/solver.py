@@ -41,10 +41,11 @@ class NegativeCoefficientError(SolverError):
 
 
 class FrozenRecord:
-    """An immutable record whose fields are its class's __slots__, which
-    its __init__ sets through object.__setattr__.  Equality and hash use
-    the _key() that each subclass defines; copy and pickle rebuild a
-    record through __init__, with its fields in __slots__ order."""
+    """An immutable record that must not compare as a tuple, whose fields
+    are its class's __slots__, set by __init__ through object.__setattr__.
+    Equality and hash use the _key() that each subclass defines; copy and
+    pickle rebuild a record through __init__, with its fields in
+    __slots__ order."""
 
     __slots__ = ()
 
@@ -248,7 +249,7 @@ def _newton(step, cmax: int, dmax: int,
     """The root of z = G(z) with z(x, 0) = 1, on the box (cmax, dmax).
 
     z lives on the box (cmax, p-1) of its exact rows, starting from p = 1,
-    or from a seed's p = seed.dmax + 1 rows (2 <= p <= dmax).  The
+    or from a seed's p = seed.dmax + 1 rows (1 <= p <= dmax).  The
     precisions q are the halving ladder ceil((dmax+1) / 2^j) in
     increasing order, from the first one above p: dmax.bit_length() steps
     from p = 1, each with q <= 2p (the rung below q is at most p), the
@@ -263,8 +264,8 @@ def _newton(step, cmax: int, dmax: int,
     vanish exactly when the seed's p rows are those of the root, by
     induction on d.  The first seeded step checks this.  If row m < p is
     the first nonzero one, the same induction shows the seed's rows < m
-    exact: the ladder restarts from them when m >= 2, and from p = 1
-    otherwise.
+    exact, so G(z)'s rows <= m are the root's: the ladder restarts from
+    these m + 1 rows, which for m = 0 (a wrong row 0) is the cold start.
     """
     ladder, n = [], dmax + 1
     while n > 1:
@@ -283,8 +284,7 @@ def _newton(step, cmax: int, dmax: int,
         if seed is not None:
             m = num.valuation()
             if m < p:
-                return _newton(step, cmax, dmax,
-                               z.crop(cmax, m - 1) if m >= 2 else None)
+                return _newton(step, cmax, dmax, g.crop(cmax, m))
             seed = None
         den = (BiSeries.one(cmax, e) - dg).pad(q - 1)
         z = z + num.divide(den)
@@ -357,8 +357,9 @@ def _read_off(n2: BiSeries, last) -> tuple[BiSeries, BiSeries]:
     1 / n1_z = 1 - r, n3 = w + y^p D (1 - r)(1 - 4r), where
     (1 - r)(1 - 4r) = 1 - r (5 - 4r).  Only rows <= e of each factor
     meet D, so n3's product is on the box (cmax, e) and n1's, whose top
-    row y^(p+1) shifts out, on (cmax, e - 1).  Neither shares a quotient
-    with the check n1 n3 = n2 (_check_solved).
+    row y^(p+1) shifts out, on (cmax, e - 1), or none when e = 0, where
+    n1 = n1_z.  Neither shares a quotient with the check n1 n3 = n2
+    (_check_solved).
 
     Below row p, n1 and n3 are n1_z and w whatever n2 holds, and
     n1_z w = z exactly.  So if row m < p is the first row where n2 and
@@ -373,6 +374,8 @@ def _read_off(n2: BiSeries, last) -> tuple[BiSeries, BiSeries]:
     top = n2.drop(p)
     factor = BiSeries.one(r.cmax, e) - r * five_4r
     n3 = w + (top * factor).pad(dmax).shift(0, p)
+    if e == 0:                              # y^(p+1) shifts n1's tail out
+        return n1_z, n3
     tail = _below(top, 1) * _below(four_z3, 1)
     return n1_z + tail.pad(dmax).shift(0, p + 1), n3
 

@@ -21,6 +21,7 @@ locates the row-sum growth rate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice
 from math import comb
 
@@ -506,7 +507,8 @@ CHECKS = {
 }
 
 
-class Work(FrozenRecord):
+class Work(namedtuple("Work", "solves simple dp oracle",
+                      defaults=((), (), (), None))):
     """What one check computes, for the keyword arguments it is given: the
     (rule, cmax, dmax) boxes it asks cached_solution for, in order; the
     (cmax, dmax) boxes it passes to solve_simple and to dp_table; and the
@@ -514,14 +516,7 @@ class Work(FrozenRecord):
     it to share the checks between two processes and guards the boxes a
     user sizes by it."""
 
-    __slots__ = ("solves", "simple", "dp", "oracle")
-
-    def __init__(self, solves=(), simple=(), dp=(), oracle=None):
-        for name, value in zip(self.__slots__, (solves, simple, dp, oracle)):
-            object.__setattr__(self, name, value)
-
-    def _key(self):
-        return self.solves, self.simple, self.dp, self.oracle
+    __slots__ = ()
 
 
 def _both(cmax: int, dmax: int) -> tuple:

@@ -354,7 +354,7 @@ def test_solve_path_rejects_another_conventions_root(monkeypatch):
     # each neighbouring pair parts ways on the box, and n3 = n2 / n1 holds
     # for either root, so only the meeting-point gate can fail, cold and
     # seeded (where the seed's rows fail the next rule's first step and
-    # Newton restarts from fewer rows)
+    # Newton restarts from the rows that step proves)
     step = solver._system_step
     for conv, other in zip(RULES, RULES[1:] + RULES[:1]):
         split = _tail_split(other.table(8), 8, 8)
@@ -461,7 +461,7 @@ def test_a_square_rule_seed_restarts(newton_calls):
     cached_solution(SQUARE, 3, 2)
     newton_calls.clear()
     solve_system(SQUARE, 5, 3)
-    assert newton_calls == [3, 2]
+    assert newton_calls == [3, 3]
     clear_cache()
 
 
@@ -655,7 +655,7 @@ def test_warm_cache_rejects_negative_boxes():
 def newton_calls(monkeypatch):
     """The seed rows of each _newton call, None for a cold start; a seed
     that fails its first step shows as its row count, then as the rows
-    it restarts from (None when fewer than 2 rows are exact)."""
+    it restarts from."""
     newton, calls = solver._newton, []
 
     def spy(step, cmax, dmax, seed=None):
@@ -693,20 +693,29 @@ def test_seeded_solves_match_cold_solves(conv, newton_calls):
 
 @pytest.mark.parametrize("conv", [ODD, LINEAR], ids=["odd", "linear"])
 def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
-    # a bump in row m leaves the seed's rows < m exact: the ladder restarts
-    # from them when m >= 2, and cold otherwise
-    step = solver._system_step(_tail_split(conv.table(8), 8, 8))
+    # a bump in row m leaves the seed's rows < m exact, so the failed
+    # step's rows <= m are: the ladder restarts from those m + 1 rows
+    # (rungs 2, 3, 5 and 9 on the box (8,8)), after the failed step
+    system_step, steps = solver._system_step(
+        _tail_split(conv.table(8), 8, 8)), []
+
+    def step(z, e):
+        steps.append(e)
+        return system_step(z, e)
+
     clear_cache()
     cold = solve_system(conv, 8, 8).n2
-    for bump, calls in ((None, [5]), ((0, 0), [5, None]), ((0, 1), [5, None]),
-                        ((3, 1), [5, None]), ((3, 2), [5, 2]),
-                        ((8, 4), [5, 4])):
+    for bump, calls, taken in ((None, [5], 1), ((0, 0), [5, 1], 5),
+                               ((0, 1), [5, 2], 4), ((3, 1), [5, 2], 4),
+                               ((3, 2), [5, 3], 3), ((8, 4), [5, 5], 2)):
         seed = cold.crop(8, 4)
         if bump:
             seed = seed + BiSeries.monomial(8, 4, *bump)
         newton_calls.clear()
+        steps.clear()
         assert solver._newton(step, 8, 8, seed) == cold, bump
         assert newton_calls == calls, bump
+        assert len(steps) == taken, bump
 
 
 @settings(max_examples=80, deadline=None)

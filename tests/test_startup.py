@@ -12,7 +12,7 @@ import pytest
 from forestcount.oracle import ChordDiagram
 from forestcount.solver import ODD, CodimWeight, SystemSolution, solve_system
 from forestcount.tables import CountTable
-from forestcount.verify import ZPolynomial
+from forestcount.verify import Work, ZPolynomial
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,6 +75,7 @@ def test_records_are_immutable():
         (CountTable.from_rows([[1, 2]], "n1", "dp"), CountTable._fields),
         (ChordDiagram(0, (), (), ()), ChordDiagram._fields),
         (ZPolynomial.from_terms([(0, 0, 1, 1)]), ("terms",)),
+        (Work((("odd", 2, 2),), dp=((2, 2),)), Work._fields),
     ]
     for record, fields in records:
         for name in fields:
@@ -86,6 +87,9 @@ def test_records_are_immutable():
             record.extra = None
         assert copy.deepcopy(record) == record
     assert CountTable(((1,),), "n1", "dp").convention is None
+    assert Work(oracle=3) == Work((), (), (), 3)
+    assert repr(Work(dp=((2, 2),))) == ("Work(solves=(), simple=(), "
+                                         "dp=((2, 2),), oracle=None)")
 
 
 def test_zpolynomial_arithmetic_is_its_own():

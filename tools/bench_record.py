@@ -46,7 +46,11 @@ change that keeps every count and report must keep, as DIGEST_CHILD
 lists it: the SHA-256 of solver rows, among them boxes where the `_pack`
 memo evicts, every box with cmax <= 3 and dmax <= 3 (from no Newton
 step up to a last step from p = 2 with e = 1, the first whose product
-for n1's top rows lands on the box) and seeded frontier sweeps, and the
+for n1's top rows lands on the box), seeded frontier sweeps, and, under
+the odd, linear, k^2 and 3k rules, each from an empty cache, a
+tall-then-wide sweep ((0,12), (1,12), (3,4), (10,6), (12,8), (16,10))
+and a widening-row sweep ((c,20) for c = 0, 4, ..., 40), where seeds of
+k^2 and 3k fail their first Newton step and restart; and the
 exit code and SHA-256 of CLI outputs, among them those the CLI shares
 with a forked worker on a machine with two CPUs or more (help is
 printed with COLUMNS=80, so that its width is fixed).
@@ -280,6 +284,18 @@ for name, conv, top in (("odd", "odd", 24), ("linear", "linear", 24),
     for f in range(2, top + 1):
         sol = cached_solution(conv, 2 * f - 1, f)
         lines[f"sweep {name} (2F-1,F) F={f}"] = rows(sol.n1, sol.n2, sol.n3)
+triple = CodimWeight("triple", lambda k: 3 * k)
+sweeps = {"tall-then-wide": ((0, 12), (1, 12), (3, 4), (10, 6), (12, 8),
+                             (16, 10)),
+          "widening-row": tuple((c, 20) for c in range(0, 41, 4))}
+for name, conv in (("odd", "odd"), ("linear", "linear"), ("k^2", square),
+                   ("3k", triple)):
+    for sweep, sizes in sweeps.items():
+        clear_cache()
+        for cmax, dmax in sizes:
+            sol = cached_solution(conv, cmax, dmax)
+            lines[f"{sweep} {name} ({cmax},{dmax})"] = rows(sol.n1, sol.n2,
+                                                            sol.n3)
 clear_cache()
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
 code, out = cli("verify", "--format", "jsonl")
