@@ -13,14 +13,18 @@ where k even lines touch the base line is pluggable; two built-in
 conventions are provided and every query can be run under either, so
 that any convention-dependent cell is surfaced rather than hidden.
 
-Eliminating n1 and n3 leaves one equation z = G(z) for z = n2 (and
-n4 = G(n4) for simple configurations), solved by Newton's iteration,
-each step of which can double the number of exact y-degrees (Brent and
-Kung, J. ACM 25(4), 1978; von zur Gathen and Gerhard, Modern Computer
-Algebra, section 9; see _newton).  n1 and n3 are then read off the
-rows that Newton's last step added, with one product each (_read_off).
-Every solution is checked on its full box before it is returned (see
-_check_solved).
+With t = y n2^4 n3, which the first two equations make n2 - n3 and
+the meeting-point sum sum_k x^weight(k) t^k =: T(t), the third reads
+n2 (1 - T(t)) = n1, so n3 = R := 1 / (1 - T(t)) and n2 = R + t.
+Eliminating n1, n2 and n3 leaves one equation t = G(t) = y (R + t)^4 R
+in Lagrangian form (Flajolet and Sedgewick, Analytic Combinatorics,
+2009, section VII.4), and n4 = G(n4) for simple configurations, each
+solved by Newton's iteration, each step of which can double the number
+of exact y-degrees (Brent and Kung, J. ACM 25(4), 1978; von zur Gathen
+and Gerhard, Modern Computer Algebra, section 9; see _newton).  n1, n2
+and n3 are then read off the rows that Newton's last step added, with
+products on those rows only (_read_off).  Every solution is checked on
+its full box before it is returned (see _check_solved).
 """
 
 from __future__ import annotations
@@ -246,157 +250,167 @@ def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
 
 def _newton(step, cmax: int, dmax: int,
             seed: BiSeries | None = None) -> BiSeries:
-    """The root of z = G(z) with z(x, 0) = 1, on the box (cmax, dmax).
+    """The root of t = G(t) on the box (cmax, dmax), where row d of G(t)
+    depends on rows < d of t only.
 
-    z lives on the box (cmax, p-1) of its exact rows, starting from p = 1,
-    or from a seed's p = seed.dmax + 1 rows (1 <= p <= dmax).  The
-    precisions q are the halving ladder ceil((dmax+1) / 2^j) in
-    increasing order, from the first one above p: dmax.bit_length() steps
-    from p = 1, each with q <= 2p (the rung below q is at most p), the
-    last ending at q = dmax+1.  A step zero-extends z to the box
-    (cmax, q-1) that it makes exact; step(z, e) returns G(z) on that box
-    and G'(z) on the box (cmax, e), e = q-p-1.  The numerator G(z) - z
-    has y-valuation >= p, so rows < q of the quotient need the
-    denominator 1 - G'(z) only through row e, and G' has y-valuation
-    >= 1, so that denominator has constant term 1.
+    t lives on the box (cmax, p-1) of its exact rows, starting from the
+    one row t(x, 0) = 0 (p = 1), or from a seed's p = seed.dmax + 1 rows
+    (1 <= p <= dmax); a root whose row 0 is not zero, as n4's, needs a
+    seed of that one row.  The precisions q are the halving ladder
+    ceil((dmax+1) / 2^j) in increasing order, from the first one above p:
+    dmax.bit_length() steps from p = 1, each with q <= 2p (the rung below
+    q is at most p), the last ending at q = dmax+1.  A step zero-extends t
+    to the box (cmax, q-1) that it makes exact; step(t, e) returns G(t)
+    on that box and G'(t) on the box (cmax, e), e = q-p-1.  The numerator
+    G(t) - t has y-valuation >= p, so its rows p..q-1 divided by
+    1 - G'(t), on the box (cmax, e), are the rows that the step adds, and
+    rows < p stay as they are.  G' has y-valuation >= 1, so that
+    denominator has constant term 1.
 
-    Row d of G(z) depends on rows < d of z only, so rows < p of G(z) - z
-    vanish exactly when the seed's p rows are those of the root, by
-    induction on d.  The first seeded step checks this.  If row m < p is
-    the first nonzero one, the same induction shows the seed's rows < m
-    exact, so G(z)'s rows <= m are the root's: the ladder restarts from
-    these m + 1 rows, which for m = 0 (a wrong row 0) is the cold start.
+    Rows < p of G(t) - t vanish exactly when the seed's p rows are those
+    of the root, by induction on d.  The first seeded step checks this.
+    If row m < p is the first nonzero one, the same induction shows the
+    seed's rows < m exact, so G(t)'s rows <= m are the root's: the ladder
+    restarts from these m + 1 rows, which for m = 0 (a wrong row 0) is
+    the one-row start.
     """
     ladder, n = [], dmax + 1
     while n > 1:
         ladder.append(n)
         n = (n + 1) // 2
-    z, p = BiSeries.one(cmax, 0), 1
+    t, p = BiSeries.zero(cmax, 0), 1
     if seed is not None:
-        z, p = seed, seed.dmax + 1
+        t, p = seed, seed.dmax + 1
     for q in reversed(ladder):
         if q <= p:
             continue
         e = q - p - 1
-        z = z.pad(q - 1)
-        g, dg = step(z, e)
-        num = g - z
+        t = t.pad(q - 1)
+        g, dg = step(t, e)
+        num = g - t
         if seed is not None:
             m = num.valuation()
             if m < p:
                 return _newton(step, cmax, dmax, g.crop(cmax, m))
             seed = None
-        den = (BiSeries.one(cmax, e) - dg).pad(q - 1)
-        z = z + num.divide(den)
+        den = BiSeries.one(cmax, e) - dg
+        t = t + num.drop(p).divide(den).pad(q - 1).shift(0, p)
         p = q
-    return z
+    return t
 
 
 def _system_step(split: TailSplit):
-    """The Newton step for z = n2, for the tail split of the weight table.
+    """The Newton step for t = y n2^4 n3 = n2 - n3, for the tail split of
+    the weight table.
 
-    With a = y z^4, n1 = 1 + a, r = a / n1 and t = z r (= y z^4 n3),
-    G(z) = n1 + z T(t) and G'(z) = 4 y z^3 + T(t) + z T'(t) dt/dz, where
-    dt/dz = r (5 + a) / n1 = 5r - 4r^2, so z T'(t) dt/dz = (5 - 4r) K(t)
-    for K(t) = t T'(t).  Since r = 1 - 1/n1, t = z - z/n1 takes one
-    quotient, and r is needed only on the box (cmax, e) of G'.  With the
-    prefix P and the run R = x^w0 t^k0 / D, D = 1 - x^s t, T = P + R and
-    K = P_K + (k0 - 1) R + R / D, where P_K = sum_{k<k0} k x^weight(k) t^k;
-    this is t R' = k0 R + x^s t R / D with x^s t / D = 1/D - 1.  A step
-    thus takes k0 - 1 products for powers of t and two divisions by D.
+    With N = 1 - x^s t and the prefix P(t) = sum_{k<k0} x^weight(k) t^k,
+    1 - T(t) = Q / N for Q = (1 - P) N - x^w0 t^k0, a sum of shifts of
+    t^0..t^k0, which take k0 - 1 products.  Then n3 = R = N / Q, the
+    step's one full-box quotient, n2 = R + t and G(t) = y n2^4 R, with
+    n2^4 by two squares on the rows below the top one.  On the box
+    (cmax, e), R' = dR/dt = (-x^s - R Q') / Q, with Q' also a sum of
+    shifts of powers of t, and G'(t) = y n2^3 (4R + (4R + n2) R'), which
+    y shifts so that its factors are needed on the box (cmax, e - 1) only.
 
-    Each call keeps step.last = (w, r, 5 - 4r, n1, 4 z^3), w = z / n1,
-    for _read_off: w and n1 on the step's box, the rest on the box
-    (cmax, e) of G', 4 z^3 being the factor of G'.  step.last is None
-    until the first call.  Every solve builds its own step, so solves in
+    Each call keeps step.last = (R, n2^4, R', n2^3) for _read_off: R on
+    the step's box (cmax, b), n2^4 on (cmax, b - 1), R' on (cmax, e) and
+    n2^3 on (cmax, e - 1), or None when e = 0.  step.last is None until
+    the first call.  Every solve builds its own step, so solves in
     different threads share nothing.
     """
+    prefix, k0, w0, s = split
 
-    def step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
-        cmax, b = z.cmax, z.dmax
-        zb = _below(z, 1)
-        z2 = zb * zb
-        a = (z2 * z2).pad(b).shift(0, 1)
-        n1 = BiSeries.one(cmax, b) + a
-        w = z.divide(n1)
-        t = z - w
-        terms, tk0 = [], t          # x^weight(k) t^k for k < k0, then t^k0
-        for wk in split.prefix:
-            terms.append(tk0.shift(wk, 0))
-            tk0 = tk0 * t
-        den = BiSeries.one(cmax, b) - t.shift(split.s, 0)
-        run = tk0.shift(split.w0, 0).divide(den)
-        tt = sum(terms, run)                # T(t)
-        run_e = run.crop(cmax, e)
-        kt = run_e.scale(split.k0 - 1) + run_e.divide(den.crop(cmax, e))
-        for k, term in enumerate(terms, 1):
-            kt = kt + term.crop(cmax, e).scale(k)
-        g = n1 + z * tt
-        r = a.crop(cmax, e).divide(n1.crop(cmax, e))
-        five_4r = BiSeries.one(cmax, e).scale(5) - r.scale(4)
-        four_z3 = (z2.crop(cmax, e) * z.crop(cmax, e)).scale(4)
-        dg = four_z3.shift(0, 1) + tt.crop(cmax, e) + kt * five_4r
-        step.last = w, r, five_4r, n1, four_z3
+    def step(t: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
+        cmax, b = t.cmax, t.dmax
+        one = BiSeries.one(cmax, b)
+        powers = [one, t]                   # t^0..t^k0
+        for _ in prefix:
+            powers.append(powers[-1] * t)
+        n = one - t.shift(s, 0)
+        q = n - powers[k0].shift(w0, 0)
+        # -Q' on the box (cmax, e)
+        low = [tk.crop(cmax, e) for tk in powers]
+        xs = low[0].shift(s, 0)
+        dq = xs + low[k0 - 1].scale(k0).shift(w0, 0)
+        for k, wk in enumerate(prefix, 1):  # -x^wk t^k (1 - x^s t) in Q
+            q = q - powers[k].shift(wk, 0) + powers[k + 1].shift(wk + s, 0)
+            dq = (dq + low[k - 1].scale(k).shift(wk, 0)
+                  - low[k].scale(k + 1).shift(wk + s, 0))
+        r = n.divide(q)
+        n2 = r + t
+        nb = _below(n2, 1)
+        sq = nb * nb
+        n2_4 = sq * sq
+        g = (n2_4 * _below(r, 1)).pad(b).shift(0, 1)
+        dr = (r.crop(cmax, e) * dq - xs).divide(q.crop(cmax, e))
+        if e == 0:
+            cube, dg = None, BiSeries.zero(cmax, 0)
+        else:
+            r_c, n2_c = r.crop(cmax, e - 1), n2.crop(cmax, e - 1)
+            cube = sq.crop(cmax, e - 1) * n2_c
+            four_r = r_c.scale(4)
+            dphi = cube * (four_r + (four_r + n2_c) * _below(dr, 1))
+            dg = dphi.pad(e).shift(0, 1)
+        step.last = r, n2_4, dr, cube
         return g, dg
 
     step.last = None
     return step
 
 
-def _read_off(n2: BiSeries, last) -> tuple[BiSeries, BiSeries]:
-    """(n1, n3) on n2's box, n1 = 1 + y n2^4 and n3 = n2 / n1, from the
-    values that the last Newton step kept (see _system_step): the step
-    from z, with p exact rows, to n2 on the box (cmax, dmax), e = dmax - p.
+def _read_off(t: BiSeries, last) -> tuple[BiSeries, BiSeries, BiSeries]:
+    """(n1, n2, n3) on t's box (cmax, dmax), from Newton's root t and
+    what its last step kept (see _system_step): R, n2_p^4, R' and n2_p^3
+    at the step's start t_p, t's rows below p, with e = dmax - p.
 
-    z is zero above row p - 1, so with D = n2.drop(p), the rows p..dmax
-    of n2, n2 = z + y^p D when n2's rows below p are z's.  With
-    n1_z = 1 + a, a = y z^4, w = z / n1_z and r = a / n1_z, the ladder
+    _newton's last step changes t's rows p..dmax only, so with
+    D = t.drop(p), t = t_p + y^p D and n2_p = R + t_p.  The ladder
     keeps dmax + 1 <= 2p, so every term with D^2 vanishes on the box and
-    n1 = n1_z + y^(p+1) 4 z^3 D.  Then n1 n3 - n1_z w = y^p D gives
-    n1_z (n3 - w) = y^p D (1 - 4 y z^3 w) = y^p D (1 - 4r), and with
-    1 / n1_z = 1 - r, n3 = w + y^p D (1 - r)(1 - 4r), where
-    (1 - r)(1 - 4r) = 1 - r (5 - 4r).  Only rows <= e of each factor
-    meet D, so n3's product is on the box (cmax, e) and n1's, whose top
-    row y^(p+1) shifts out, on (cmax, e - 1), or none when e = 0, where
-    n1 = n1_z.  Neither shares a quotient with the check n1 n3 = n2
-    (_check_solved).
+    n3 = R(t) = R + y^p D R', n2 = n3 + t and, n2 moving by
+    y^p (D R' + D) from n2_p, n1 = 1 + y n2^4 =
+    1 + y n2_p^4 + y^(p+1) 4 n2_p^3 (D R' + D), all exactly.  Only rows
+    <= e of R' meet D, so n3's product is on the box (cmax, e) and n1's,
+    whose top row y^(p+1) shifts out, on (cmax, e - 1), or none when
+    e = 0.
 
-    Below row p, n1 and n3 are n1_z and w whatever n2 holds, and
-    n1_z w = z exactly.  So if row m < p is the first row where n2 and
-    z part, which only a wrong step makes, (n1 n3)_m = z_m differs from
-    n2's row m, and _check_solved rejects n2 = n1 n3.
+    So n1 n3 - n2 = y n2^4 R(t) - t = G(t) - t on the whole box: if t's
+    first wrong row is m, G(t)'s row m is the root's, and _check_solved
+    rejects n2 = n1 n3 at row m, below p or not.  That product shares no
+    quotient with the step.
     """
-    if last is None:                        # dmax = 0: no step, n1 = 1
-        return BiSeries.one(n2.cmax, 0), n2
-    w, r, five_4r, n1_z, four_z3 = last
-    dmax, e = n2.dmax, r.dmax
+    if last is None:                        # dmax = 0: no step, t = 0
+        one = BiSeries.one(t.cmax, 0)
+        return one, one, one
+    r, n2_4, dr, cube = last
+    dmax, e = t.dmax, dr.dmax
     p = dmax - e
-    top = n2.drop(p)
-    factor = BiSeries.one(r.cmax, e) - r * five_4r
-    n3 = w + (top * factor).pad(dmax).shift(0, p)
-    if e == 0:                              # y^(p+1) shifts n1's tail out
-        return n1_z, n3
-    tail = _below(top, 1) * _below(four_z3, 1)
-    return n1_z + tail.pad(dmax).shift(0, p + 1), n3
+    top = t.drop(p)
+    move = top * dr                         # D R'
+    n3 = r + move.pad(dmax).shift(0, p)
+    n1 = BiSeries.one(t.cmax, dmax) + n2_4.pad(dmax).shift(0, 1)
+    if cube is not None:                    # y^(p+1) shifts it out at e = 0
+        tail = cube * _below(move + top, 1)
+        n1 = n1 + tail.scale(4).pad(dmax).shift(0, p + 1)
+    return n1, n3 + t, n3
 
 
 def solve_system(convention: str | CodimWeight, cmax: int,
                  dmax: int) -> SystemSolution:
     """Solve the three-equation system on the box (cmax, dmax).
 
-    n2 comes from Newton's iteration on n2 = G(n2) (see _system_step),
-    started from the exact leading rows of a cached n2 of the same rule
-    when the cache holds one (see _seed).  n1 = 1 + y n2^4 and
-    n3 = n2 / n1 are then read off the rows of n2 that the last Newton
-    step added and what that step kept, with one product each on as many
-    rows, no square and no quotient (see _read_off).  Returns the unique
-    solution with nonnegative coefficients, whatever the cache holds.
-    n2 = n1 n3 (a full-box product, which checks n3 and rejects a wrong
-    row below the last step's start), the meeting-point equation and
-    nonnegativity are always checked on the full box (_check_solved),
-    which raises NegativeCoefficientError if any count comes out
-    negative; n1 holds by construction (SystemSolution.verify rebuilds
-    it with _n1_of), so it is built only once.
+    t = n2 - n3 comes from Newton's iteration on t = G(t) (see
+    _system_step), started from the exact leading rows of a cached
+    n2 - n3 of the same rule when the cache holds one (see _seed).
+    n1 = 1 + y n2^4, n2 and n3 are then read off the rows of t that the
+    last Newton step added and what that step kept, with two products on
+    as many rows, no square and no quotient (see _read_off).  Returns the
+    unique solution with nonnegative coefficients, whatever the cache
+    holds.  n2 = n1 n3 (a full-box product, which rejects any wrong row
+    of t), the meeting-point equation and nonnegativity are always
+    checked on the full box (_check_solved), which raises
+    NegativeCoefficientError if any count comes out negative; n1 holds
+    by construction (SystemSolution.verify rebuilds it with _n1_of), so
+    it is built only once.
     """
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
@@ -405,8 +419,7 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     split = _tail_split(weights, cmax, dmax)
     seed = _seed(conv.name, tuple(weights), cmax, dmax)
     step = _system_step(split)
-    n2 = _newton(step, cmax, dmax, seed)
-    n1, n3 = _read_off(n2, step.last)
+    n1, n2, n3 = _read_off(_newton(step, cmax, dmax, seed), step.last)
     _check_solved(n1, n2, n3, split)
     return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
 
@@ -437,7 +450,7 @@ def solve_simple(cmax: int, dmax: int) -> BiSeries:
     Newton's iteration, re-checked on the full box."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
-    n4 = _newton(_simple_step, cmax, dmax)
+    n4 = _newton(_simple_step, cmax, dmax, BiSeries.one(cmax, 0))
     if n4 != _simple_g(_below(n4, 1) ** 4, dmax):
         raise SolverError("simple-configuration equation violated")
     if n4.min_coefficient() < 0:
@@ -482,19 +495,21 @@ def cached_solution(convention: str | CodimWeight, cmax: int,
 
 def _seed(name: str, weights: tuple[int, ...], cmax: int,
           dmax: int) -> BiSeries | None:
-    """The leading rows of a cached n2 to start Newton from on the box
-    (cmax, dmax), or None when no cached box gives 2 rows or more.
+    """The leading rows of a cached t = n2 - n3 to start Newton from on
+    the box (cmax, dmax), or None when no cached box gives 2 rows or more.
 
     A box (cm, dm) at least as wide gives its rows d < min(dm+1, dmax),
-    cropped to cmax: rows and columns of n2 depend on lower ones only.  A
-    narrower box gives its rows before the first whose top column c = cm
-    is nonzero, widened with zero columns: n2's row support grows with d,
-    so these rows are expected to have no terms above cm on the wider box
-    either.  The first Newton step checks that; a rule whose rows have
-    gaps in their support, such as weight(k) = k^2, can fail it.  The
-    cached rule must have the same name and the same weights through the
-    rows given (row d depends on weight(k) for k <= d only).  The most
-    rows win.
+    cropped to cmax: rows and columns of the solution depend on lower
+    ones only.  A narrower box gives its rows before the first whose n2
+    has a nonzero top column c = cm, widened with zero columns: n2's row
+    support grows with d, so these rows of n2 are expected to have no
+    terms above cm on the wider box either, and then neither have t's,
+    since 0 <= t <= n2 term by term (t = (n1 - 1) n3 and n3 = n2 - t
+    have no negative terms).  The first Newton step checks that; a rule
+    whose rows have gaps in their support, such as weight(k) = k^2, can
+    fail it.  The cached rule must have the same name and the same
+    weights through the rows given (row d depends on weight(k) for
+    k <= d only).  The most rows win.
     """
     best, rows = None, 1
     for (nm, ws, cm, dm), sol in list(_cache.items()):
@@ -504,10 +519,11 @@ def _seed(name: str, weights: tuple[int, ...], cmax: int,
         if cm < cmax:
             p = next((d for d in range(p) if sol.n2.coeff(cm, d)), p)
         if p > rows and ws[:p] == weights[:p]:
-            best, rows = sol.n2, p
+            best, rows = sol, p
     if best is None:
         return None
-    return best.crop(min(best.cmax, cmax), rows - 1).widen(cmax)
+    box = min(best.box[0], cmax), rows - 1
+    return (best.n2.crop(*box) - best.n3.crop(*box)).widen(cmax)
 
 
 def clear_cache() -> None:

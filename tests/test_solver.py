@@ -199,7 +199,7 @@ def test_newton_follows_the_halving_ladder():
             steps.append((q - e - 1, q))
             return _simple_step(z, e)
 
-        _newton(spy, 0, dmax)
+        _newton(spy, 0, dmax, BiSeries.one(0, 0))     # n4(x, 0) = 1
         chain = [1] + [q for _, q in steps]
         assert steps == list(zip(chain, chain[1:])), dmax
         assert len(steps) == dmax.bit_length(), dmax
@@ -209,6 +209,74 @@ def test_newton_follows_the_halving_ladder():
         # (ceil(q/2)), so the steps before the last are as small as they
         # can be; doubling from 1 fails this, e.g. 32 -> 33 at dmax = 32
         assert all(p == (q + 1) // 2 for p, q in steps), (dmax, steps)
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_each_newton_step_takes_one_full_box_quotient(conv, monkeypatch):
+    # R = N / Q on the step's box; R' and _newton's update divide on the
+    # box (cmax, e), below it.  Cold, seeded, and seeded through a restart
+    # for weight(k) = k^2 (its failed step counts too)
+    divide, system_step = BiSeries.divide, solver._system_step
+    steps, inside = [], []
+
+    def spy(num, den):
+        steps[-1][1 if inside else 2].append(num.box())
+        return divide(num, den)
+
+    def counted_step(split):
+        step = system_step(split)
+
+        def counted(t, e):
+            steps.append((t.box(), [], []))
+            inside.append(True)
+            try:
+                return step(t, e)
+            finally:
+                inside.pop()
+                counted.last = step.last
+
+        counted.last = None
+        return counted
+
+    monkeypatch.setattr(solver, "_system_step", counted_step)
+    for cached, box in ((None, (10, 12)), ((10, 5), (10, 12)),
+                        ((7, 4), (9, 5))):
+        clear_cache()
+        if cached:
+            cached_solution(conv, *cached)
+        steps.clear()
+        monkeypatch.setattr(BiSeries, "divide", spy)
+        solve_system(conv, *box)
+        monkeypatch.setattr(BiSeries, "divide", divide)
+        assert steps, (cached, box)
+        for full, within, after in steps:
+            assert within.count(full) == 1, (cached, box, full, within)
+            within.remove(full)
+            assert all(b[1] < full[1] for b in within + after), \
+                (cached, box, full, within, after)
+    clear_cache()
+
+
+@pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
+def test_t_satisfies_the_cleared_identities(conv):
+    # t = n2 - n3, Newton's unknown: with N = 1 - x^s t and
+    # Q = (1 - P(t)) N - x^w0 t^k0, built here by products alone,
+    # n3 Q = N and t = y n2^4 n3 hold exactly, cold and seeded
+    for cmax, dmax in ((8, 8), (0, 8), (12, 6), (3, 10)):
+        split = _tail_split(conv.table(dmax), cmax, dmax)
+        one = BiSeries.one(cmax, dmax)
+        for cached in (None, (cmax, dmax // 2)):
+            sol = solved(conv, cmax, dmax, cached)
+            t = sol.n2 - sol.n3
+            n = one - t.shift(split.s, 0)
+            p, tk = BiSeries.zero(cmax, dmax), one
+            for w in split.prefix:
+                tk = tk * t
+                p = p + tk.shift(w, 0)
+            q = (one - p) * n - (tk * t).shift(split.w0, 0)
+            assert sol.n3 * q == n, (cmax, dmax, cached)
+            assert t == (sol.n2 ** 4 * sol.n3).shift(0, 1), \
+                (cmax, dmax, cached)
 
 
 def cleared_form(n1, n2, v, split):
@@ -281,23 +349,24 @@ def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
     # n3 is read off the last Newton step, with no quotient once Newton
     # has returned, so the product n1 n3 is what checks it, on the cold
     # path (an empty cache) and on the seeded one (a miss above a cached
-    # box)
+    # box, seeded with the rows of its t = n2 - n3)
     divide, read_off, events = BiSeries.divide, solver._read_off, []
 
     def spy(num, den):
         events.append(("divide", None))
         return divide(num, den)
 
-    def bumped(n2, last):
-        n1, n3 = read_off(n2, last)
-        return n1, n3 + bump
+    def bumped(t, last):
+        n1, n2, n3 = read_off(t, last)
+        return n1, n2, n3 + bump
 
     monkeypatch.setattr(BiSeries, "divide", spy)
     spy_newton(monkeypatch, events)
     clear_cache()
     solve_system(conv, 6, 6)
     assert events[-1] == ("newton", None)
-    low = cached_solution(conv, 6, 4).n2
+    low = cached_solution(conv, 6, 4)
+    low = low.n2 - low.n3
     events.clear()
     solve_system(conv, 6, 6)
     assert events[-1] == ("newton", low)
@@ -318,34 +387,47 @@ def test_solve_path_rejects_a_wrong_n3(conv, monkeypatch):
 
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
-    # n1 and n3 are built from a bumped n2 on the solve path itself, on
+    # n1, n2 and n3 are read off a bumped t on the solve path itself, on
     # the cold path (an empty cache) and on the seeded one (a miss above
     # a cached box).  A bump in the top row, which the last Newton step
-    # makes exact, leaves n1 = 1 + y n2^4 and n3 = n2 / n1, and only the
-    # meeting-point equation fails; one in a row that step starts from
-    # (rows 0, 1 and 4, the last one cold, below p = 5 cold and p = 6
-    # seeded) breaks n2 = n1 n3 first
-    newton, seeds = solver._newton, []
+    # adds, gives n1 n3 - n2 = G(t) - t, nonzero there; one in a row that
+    # step starts from (rows 0, 1 and 4, below p = 5 cold and p = 6
+    # seeded) moves only n2 = n3 + t.  Either way n2 = n1 n3 fails.  The
+    # same bump in the top rows of n2 and n3 leaves n1 = 1 + y n2^4 and
+    # n2 = n1 n3, and only the meeting-point equation fails
+    newton, read_off, seeds = solver._newton, solver._read_off, []
 
-    def bumped(step, cmax, dmax, seed=None):
+    def spy(step, cmax, dmax, seed=None):
         seeds.append(seed)
-        return newton(step, cmax, dmax, seed) + bump
+        return newton(step, cmax, dmax, seed)
+
+    def wrong_t(step, cmax, dmax, seed=None):
+        return spy(step, cmax, dmax, seed) + bump
+
+    def wrong_top(t, last):
+        n1, n2, n3 = read_off(t, last)
+        return n1, n2 + bump, n3 + bump
 
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1), (0, 0),
                  (0, 4)):
         bump = BiSeries.monomial(8, 8, c, d)
-        message = "meeting-point" if d == 8 else "n2 = n1 n3"
-        clear_cache()
-        monkeypatch.setattr(solver, "_newton", bumped)
-        seeds.clear()
-        with pytest.raises(SolverError, match=message):
-            solve_system(conv, 8, 8)
-        monkeypatch.setattr(solver, "_newton", newton)
-        low = cached_solution(conv, 8, 5).n2
-        monkeypatch.setattr(solver, "_newton", bumped)
-        with pytest.raises(SolverError, match=message):
-            cached_solution(conv, 8, 8)
-        assert seeds == [None, low]
+        cases = [(wrong_t, read_off, "n2 = n1 n3")]
+        if d == 8:
+            cases.append((spy, wrong_top, "meeting-point"))
+        for newton_as, read_off_as, message in cases:
+            for seeded in (False, True):
+                clear_cache()
+                monkeypatch.setattr(solver, "_newton", spy)
+                monkeypatch.setattr(solver, "_read_off", read_off)
+                if seeded:
+                    low = cached_solution(conv, 8, 5)
+                monkeypatch.setattr(solver, "_newton", newton_as)
+                monkeypatch.setattr(solver, "_read_off", read_off_as)
+                seeds.clear()
+                with pytest.raises(SolverError, match=message):
+                    cached_solution(conv, 8, 8)
+                assert seeds == [low.n2 - low.n3 if seeded else None], \
+                    (c, d, message, seeded)
     clear_cache()
 
 
@@ -380,10 +462,10 @@ def solved_cases(test):
     """Run test(conv, cmax, dmax, cached) on boxes of every rule in RULES
     that solve_system solves cold from an empty cache, or seeded from a
     cached box, through a restart when the seed's rows fail the first
-    step (weight(k) = k^2 from (3,2) to (5,3))."""
+    step (weight(k) = k^2 from (7,4) to (9,5))."""
     for case in ((ODD, 0, 0, None), (LINEAR, 3, 1, None),
                  (SQUARE, 0, 2, (0, 1)), (SQUARE, 5, 2, (5, 1)),
-                 (SQUARE, 5, 3, (3, 2))):   # a seed of 3 rows restarts
+                 (SQUARE, 9, 5, (7, 4))):   # a seed of 5 rows restarts
         test = example(*case)(test)
     cached = st.one_of(st.none(), st.tuples(st.integers(0, 10),
                                             st.integers(1, 9)))
@@ -417,9 +499,8 @@ def test_n1_is_one_plus_y_n2_to_the_fourth(conv, cmax, dmax, cached):
 @pytest.mark.parametrize("conv", RULES, ids=[r.name for r in RULES])
 def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
     # cold, seeded and restarted solves take n1 from the last Newton step,
-    # and so does an n2 with a wrong row: one below that step's start, as
-    # the row-1 bump of test_solve_path_rejects_a_wrong_tail makes, fails
-    # n2 = n1 n3 with no n1 rebuilt from n2
+    # and so does a t with a wrong row, which fails n2 = n1 n3 (see
+    # test_solve_path_rejects_a_wrong_tail) with no n1 rebuilt from n2
     n1_of, newton, calls = solver._n1_of, solver._newton, []
 
     def spy(n2):
@@ -428,7 +509,7 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
 
     monkeypatch.setattr(solver, "_n1_of", spy)
     for cached, box in ((None, (0, 0)), (None, (3, 1)), (None, (8, 8)),
-                        ((8, 5), (8, 8)), ((3, 2), (5, 3)),
+                        ((8, 5), (8, 8)), ((7, 4), (9, 5)),
                         ((0, 1), (0, 2)), ((5, 1), (5, 2))):
         solved(conv, *box, cached)
     clear_cache()
@@ -441,7 +522,6 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
 
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
         bump = BiSeries.monomial(8, 8, c, d)
-        message = "meeting-point" if d == 8 else "n2 = n1 n3"
         for cached in (None, (8, 5)):
             monkeypatch.setattr(solver, "_newton", newton)
             clear_cache()
@@ -449,19 +529,21 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
                 cached_solution(conv, *cached)
             monkeypatch.setattr(solver, "_newton", bumped)
             calls.clear()
-            with pytest.raises(SolverError, match=message):
+            with pytest.raises(SolverError, match="n2 = n1 n3"):
                 solve_system(conv, 8, 8)
             assert calls == [], (c, d, cached)
     clear_cache()
 
 
 def test_a_square_rule_seed_restarts(newton_calls):
-    # the restart that test_n3_is_the_quotient_n2_over_n1 takes
+    # the restart that test_n3_is_the_quotient_n2_over_n1 takes: n2's term
+    # x^9 y^3 (weight(3) = 9) lies off the box (7,4), and through
+    # t = y n2^4 n3 it puts x^9 in t's row 4, the seed's last
     clear_cache()
-    cached_solution(SQUARE, 3, 2)
+    cached_solution(SQUARE, 7, 4)
     newton_calls.clear()
-    solve_system(SQUARE, 5, 3)
-    assert newton_calls == [3, 3]
+    solve_system(SQUARE, 9, 5)
+    assert newton_calls == [5, 5]
     clear_cache()
 
 
@@ -704,7 +786,8 @@ def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
         return system_step(z, e)
 
     clear_cache()
-    cold = solve_system(conv, 8, 8).n2
+    cold = solve_system(conv, 8, 8)
+    cold = cold.n2 - cold.n3                # the root t
     for bump, calls, taken in ((None, [5], 1), ((0, 0), [5, 1], 5),
                                ((0, 1), [5, 2], 4), ((3, 1), [5, 2], 4),
                                ((3, 2), [5, 3], 3), ((8, 4), [5, 5], 2)):
@@ -726,9 +809,9 @@ def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
 def test_seed_widens_the_cached_rows_as_a_term_map_does(conv, cm, dm, cmax,
                                                         dmax):
     # the construction that _seed's widening by zero columns replaces:
-    # the cropped rows' terms rebuilt on the query's box
+    # the cropped rows' terms of t = n2 - n3 rebuilt on the query's box
     clear_cache()
-    n2 = cached_solution(conv, cm, dm).n2
+    sol = cached_solution(conv, cm, dm)
     weights = tuple(conv.table(dmax))
     seed = solver._seed(conv.name, weights, cmax, dmax)
     clear_cache()
@@ -736,7 +819,7 @@ def test_seed_widens_the_cached_rows_as_a_term_map_does(conv, cm, dm, cmax,
         return
     rows = seed.dmax + 1
     assert 2 <= rows <= min(dm + 1, dmax)
-    low = n2.crop(min(cm, cmax), rows - 1)
+    low = (sol.n2 - sol.n3).crop(min(cm, cmax), rows - 1)
     assert seed == BiSeries.from_terms(cmax, rows - 1,
                                        {(c, d): v for c, d, v in low.terms()})
 
@@ -751,7 +834,7 @@ def test_seeded_ladder_climbs_the_rungs_above_the_seed():
             steps.append((q - e - 1, q))
             return _simple_step(z, e)
 
-        _newton(spy, 0, dmax)
+        _newton(spy, 0, dmax, BiSeries.one(0, 0))     # n4(x, 0) = 1
         rungs = [q for _, q in steps]
         for p in range(2, dmax + 1):
             steps.clear()

@@ -6,6 +6,7 @@
     python3 tools/bench_record.py counts --parent DIR --change DIR --seed 11
     python3 tools/bench_record.py digests --parent DIR --change DIR
     python3 tools/bench_record.py costs --parent DIR --change DIR
+    python3 tools/bench_record.py steps --parent DIR --change DIR
 
 Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0` inside the checkout, S being run_seconds in this repository's
@@ -65,6 +66,16 @@ the benchmark's suite and the default `verify`, beside the change's
 price of each (in order and alone); then the cold odd and linear solves
 of the boxes of README's fork crossover table beside the price of one.
 Each round clears the solution cache and the `_pack` memo first.
+
+`steps` runs one child per checkout (run as for `digests`) and prints
+side by side the Newton steps and restarts of each sweep, each from an
+empty cache: the count-session queries of seed 1, asked through
+count_configurations, and under the odd, linear, k^2 and 3k rules the
+count-session frontier ((2F-1,F) for F = 2, 4, ..., 24) and the
+tall-then-wide and widening-row sweeps of `digests`.  A step is a call
+of the `step` that `solver._newton` receives, counted by wrapping it; a
+restart is a `_newton` call made inside another.  It marks each line
+where the checkouts differ with DIFFERS and exits 1 if any does.
 
 Standard library only.
 """
@@ -431,6 +442,73 @@ def costs(parent: Path, change: Path, rounds: int) -> None:
             print(f"  {name:20} " + " ".join(f"{v:7.1f}" for v in row))
 
 
+STEPS_CHILD = r"""
+import json, sys
+from forestcount import count_configurations, solver
+from forestcount.solver import CodimWeight, cached_solution, clear_cache
+
+newton, tally, depth = solver._newton, [0, 0], [0]
+
+def counted_newton(step, cmax, dmax, seed=None):
+    # a _newton call inside another is a restart, with the step wrapped
+    # by the outer call already
+    if depth[0]:
+        tally[1] += 1
+        return newton(step, cmax, dmax, seed)
+
+    def counted(t, e):
+        tally[0] += 1
+        return step(t, e)
+
+    depth[0] += 1
+    try:
+        return newton(counted, cmax, dmax, seed)
+    finally:
+        depth[0] -= 1
+
+solver._newton = counted_newton
+
+def run(solves):
+    clear_cache()
+    tally[:] = [0, 0]
+    solves()
+    return list(tally)
+
+sys.path.insert(0, "benchmarks")
+from workloads import SESSION_FRONTIERS, session_queries
+lines = {"count-session seed 1": run(lambda: [
+    count_configurations(c, d, conv) for c, d, conv in session_queries(1)])}
+rules = {"odd": "odd", "linear": "linear",
+         "k^2": CodimWeight("square", lambda k: k * k),
+         "3k": CodimWeight("triple", lambda k: 3 * k)}
+sweeps = {"frontier": tuple((2 * f - 1, f) for f in SESSION_FRONTIERS),
+          "tall-then-wide": ((0, 12), (1, 12), (3, 4), (10, 6), (12, 8),
+                             (16, 10)),
+          "widening-row": tuple((c, 20) for c in range(0, 41, 4))}
+for sweep, boxes in sweeps.items():
+    for name, conv in rules.items():
+        lines[f"{sweep} {name}"] = run(lambda: [
+            cached_solution(conv, *box) for box in boxes])
+print(json.dumps(lines))
+"""
+
+
+def steps(parent: Path, change: Path) -> bool:
+    """Print both checkouts' Newton steps and restarts per sweep side by
+    side; return whether they all agree."""
+    sides = [child(checkout, STEPS_CHILD) for checkout in (parent, change)]
+    same = True
+    print(f"{'sweep':28} {'parent':>18} {'change':>18}")
+    print(f"{'':28} " + " ".join(f"{h:>8}" for h in ("steps", "restarts")
+                                   * 2))
+    for name, p in sides[0].items():
+        c = sides[1][name]
+        same = same and p == c
+        print(f"{name:28} " + " ".join(f"{v:8}" for v in p + c)
+              + ("  DIFFERS" if p != c else ""))
+    return same
+
+
 def digests(parent: Path, change: Path) -> bool:
     """Print both checkouts' output digests side by side; return whether
     they all agree."""
@@ -466,6 +544,9 @@ def main(argv=None) -> int:
     digest = sub.add_parser("digests")
     digest.add_argument("--parent", type=Path, required=True)
     digest.add_argument("--change", type=Path, required=True)
+    step = sub.add_parser("steps")
+    step.add_argument("--parent", type=Path, required=True)
+    step.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
 
     if args.cmd == "summary":
@@ -476,6 +557,8 @@ def main(argv=None) -> int:
         costs(args.parent, args.change, args.rounds)
     elif args.cmd == "digests":
         return 0 if digests(args.parent, args.change) else 1
+    elif args.cmd == "steps":
+        return 0 if steps(args.parent, args.change) else 1
     else:
         for seed in args.seeds:
             order = LABELS if seed % 2 else LABELS[::-1]
