@@ -472,7 +472,7 @@ def run(solves):
     clear_cache()
     tally[:] = [0, 0]
     solves()
-    return list(tally)
+    return f"{tally[0]} / {tally[1]}"
 
 sys.path.insert(0, "benchmarks")
 from workloads import SESSION_FRONTIERS, session_queries
@@ -493,28 +493,12 @@ print(json.dumps(lines))
 """
 
 
-def steps(parent: Path, change: Path) -> bool:
-    """Print both checkouts' Newton steps and restarts per sweep side by
-    side; return whether they all agree."""
-    sides = [child(checkout, STEPS_CHILD) for checkout in (parent, change)]
+def side_by_side(parent: Path, change: Path, code: str, what: str) -> bool:
+    """Run code (DIGEST_CHILD or STEPS_CHILD) in one child per checkout,
+    print its lines side by side and return whether they all agree."""
+    sides = [child(checkout, code) for checkout in (parent, change)]
     same = True
-    print(f"{'sweep':28} {'parent':>18} {'change':>18}")
-    print(f"{'':28} " + " ".join(f"{h:>8}" for h in ("steps", "restarts")
-                                   * 2))
-    for name, p in sides[0].items():
-        c = sides[1][name]
-        same = same and p == c
-        print(f"{name:28} " + " ".join(f"{v:8}" for v in p + c)
-              + ("  DIFFERS" if p != c else ""))
-    return same
-
-
-def digests(parent: Path, change: Path) -> bool:
-    """Print both checkouts' output digests side by side; return whether
-    they all agree."""
-    sides = [child(checkout, DIGEST_CHILD) for checkout in (parent, change)]
-    same = True
-    print(f"{'output':44} {'parent':>24} {'change':>24}")
+    print(f"{what:44} {'parent':>24} {'change':>24}")
     for name, p in sides[0].items():
         c = sides[1][name]
         same = same and p == c
@@ -555,10 +539,10 @@ def main(argv=None) -> int:
         return 0 if counts(args.parent, args.change, args.seed) else 1
     elif args.cmd == "costs":
         costs(args.parent, args.change, args.rounds)
-    elif args.cmd == "digests":
-        return 0 if digests(args.parent, args.change) else 1
-    elif args.cmd == "steps":
-        return 0 if steps(args.parent, args.change) else 1
+    elif args.cmd in ("digests", "steps"):
+        code, what = ((DIGEST_CHILD, "output") if args.cmd == "digests"
+                      else (STEPS_CHILD, "sweep (steps / restarts)"))
+        return 0 if side_by_side(args.parent, args.change, code, what) else 1
     else:
         for seed in args.seeds:
             order = LABELS if seed % 2 else LABELS[::-1]
