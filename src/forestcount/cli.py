@@ -19,10 +19,9 @@ result, distinct from a usage error, which exits 1).  Boxes larger than
 the resource ceiling (FORESTCOUNT_MAX_CELLS environment variable,
 default 200000 cells) exit 3.
 
-`table`, `count` and `verify` may share their items (conventions, the
-dp route or checks) with one forked worker, cut by each item's
-predicted cost; the output is the same either way (see _fork_map and
-_cut).
+`table`, `count` and `verify` may share their items (conventions or
+checks) with one forked worker, cut by each item's predicted cost; the
+output is the same either way (see _fork_map and _cut).
 """
 
 from __future__ import annotations
@@ -344,14 +343,10 @@ def cmd_count(args) -> int:
     _guard_box(c, d)
     _claim(args.output)
     names = _conventions(args.convention)
-    # dp_count fills an array only inside the support bound
-    works = [Work(((name, c, d),)) for name in names]
-    works.append(Work(dp=((c, d),) if c < 2 * d else ()))
-    *counts, dp = _fork_map(
-        names + ["dp"], lambda name: dp_count(c, d) if name == "dp"
-        else count_configurations(c, d, name), works, "convention")
+    counts = _fork_map(names, lambda name: count_configurations(c, d, name),
+                       [Work(((name, c, d),)) for name in names], "convention")
     values = {f"solver[{name}]": n for name, n in zip(names, counts)}
-    values["dp"] = dp
+    values["dp"] = dp_count(c, d)
     if c == 0:
         values["closed-form"] = flat_count(d)
     elif c == 1:

@@ -249,9 +249,10 @@ def _weighted_tail(n1: BiSeries, n2: BiSeries, v: BiSeries,
 
 
 def _newton(step, cmax: int, dmax: int,
-            seed: BiSeries | None = None) -> BiSeries:
+            seed: BiSeries | None = None) -> tuple[BiSeries, tuple | None]:
     """The root of t = G(t) on the box (cmax, dmax), where row d of G(t)
-    depends on rows < d of t only.
+    depends on rows < d of t only, and what the last step kept (None
+    when there is no step).
 
     t lives on the box (cmax, p-1) of its exact rows, starting from the
     one row t(x, 0) = 0 (p = 1), or from a seed's p = seed.dmax + 1 rows
@@ -261,7 +262,8 @@ def _newton(step, cmax: int, dmax: int,
     dmax.bit_length() steps from p = 1, each with q <= 2p (the rung below
     q is at most p), the last ending at q = dmax+1.  A step zero-extends t
     to the box (cmax, q-1) that it makes exact; step(t, e) returns G(t)
-    on that box and G'(t) on the box (cmax, e), e = q-p-1.  The numerator
+    on that box, G'(t) on the box (cmax, e), e = q-p-1, and what it
+    keeps for the caller.  The numerator
     G(t) - t has y-valuation >= p, so its rows p..q-1 divided by
     1 - G'(t), on the box (cmax, e), are the rows that the step adds, and
     rows < p stay as they are.  G' has y-valuation >= 1, so that
@@ -278,7 +280,7 @@ def _newton(step, cmax: int, dmax: int,
     while n > 1:
         ladder.append(n)
         n = (n + 1) // 2
-    t, p = BiSeries.zero(cmax, 0), 1
+    t, p, kept = BiSeries.zero(cmax, 0), 1, None
     if seed is not None:
         t, p = seed, seed.dmax + 1
     for q in reversed(ladder):
@@ -286,7 +288,7 @@ def _newton(step, cmax: int, dmax: int,
             continue
         e = q - p - 1
         t = t.pad(q - 1)
-        g, dg = step(t, e)
+        g, dg, kept = step(t, e)
         num = g - t
         if seed is not None:
             m = num.valuation()
@@ -296,7 +298,7 @@ def _newton(step, cmax: int, dmax: int,
         den = BiSeries.one(cmax, e) - dg
         t = t + num.drop(p).divide(den).pad(q - 1).shift(0, p)
         p = q
-    return t
+    return t, kept
 
 
 def _system_step(split: TailSplit):
@@ -312,15 +314,13 @@ def _system_step(split: TailSplit):
     shifts of powers of t, and G'(t) = y n2^3 (4R + (4R + n2) R'), which
     y shifts so that its factors are needed on the box (cmax, e - 1) only.
 
-    Each call keeps step.last = (R, n2^4, R', n2^3) for _read_off: R on
-    the step's box (cmax, b), n2^4 on (cmax, b - 1), R' on (cmax, e) and
-    n2^3 on (cmax, e - 1), or None when e = 0.  step.last is None until
-    the first call.  Every solve builds its own step, so solves in
-    different threads share nothing.
+    Each call keeps (R, n2^4, R', n2^3) for _read_off: R on the step's
+    box (cmax, b), n2^4 on (cmax, b - 1), R' on (cmax, e) and n2^3 on
+    (cmax, e - 1), or None when e = 0.
     """
     prefix, k0, w0, s = split
 
-    def step(t: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
+    def step(t: BiSeries, e: int) -> tuple[BiSeries, BiSeries, tuple]:
         cmax, b = t.cmax, t.dmax
         one = BiSeries.one(cmax, b)
         powers = [one, t]                   # t^0..t^k0
@@ -351,14 +351,12 @@ def _system_step(split: TailSplit):
             four_r = r_c.scale(4)
             dphi = cube * (four_r + (four_r + n2_c) * _below(dr, 1))
             dg = dphi.pad(e).shift(0, 1)
-        step.last = r, n2_4, dr, cube
-        return g, dg
+        return g, dg, (r, n2_4, dr, cube)
 
-    step.last = None
     return step
 
 
-def _read_off(t: BiSeries, last) -> tuple[BiSeries, BiSeries, BiSeries]:
+def _read_off(t: BiSeries, kept) -> tuple[BiSeries, BiSeries, BiSeries]:
     """(n1, n2, n3) on t's box (cmax, dmax), from Newton's root t and
     what its last step kept (see _system_step): R, n2_p^4, R' and n2_p^3
     at the step's start t_p, t's rows below p, with e = dmax - p.
@@ -378,10 +376,10 @@ def _read_off(t: BiSeries, last) -> tuple[BiSeries, BiSeries, BiSeries]:
     rejects n2 = n1 n3 at row m, below p or not.  That product shares no
     quotient with the step.
     """
-    if last is None:                        # dmax = 0: no step, t = 0
+    if kept is None:                        # dmax = 0: no step, t = 0
         one = BiSeries.one(t.cmax, 0)
         return one, one, one
-    r, n2_4, dr, cube = last
+    r, n2_4, dr, cube = kept
     dmax, e = t.dmax, dr.dmax
     p = dmax - e
     top = t.drop(p)
@@ -418,8 +416,7 @@ def solve_system(convention: str | CodimWeight, cmax: int,
     weights = conv.table(dmax)
     split = _tail_split(weights, cmax, dmax)
     seed = _seed(conv.name, tuple(weights), cmax, dmax)
-    step = _system_step(split)
-    n1, n2, n3 = _read_off(_newton(step, cmax, dmax, seed), step.last)
+    n1, n2, n3 = _read_off(*_newton(_system_step(split), cmax, dmax, seed))
     _check_solved(n1, n2, n3, split)
     return SystemSolution(n1, n2, n3, conv, (cmax, dmax))
 
@@ -432,8 +429,9 @@ def _simple_g(z4: BiSeries, dmax: int) -> BiSeries:
             + z8.scale(4).pad(dmax).shift(1, 2))
 
 
-def _simple_step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
-    """G(z) = 1 + y z^4 + 4 x y^2 z^8 and G'(z) = 4 y z^3 + 32 x y^2 z^7."""
+def _simple_step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries, None]:
+    """G(z) = 1 + y z^4 + 4 x y^2 z^8 and G'(z) = 4 y z^3 + 32 x y^2 z^7;
+    it keeps nothing."""
     cmax = z.cmax
     zb = _below(z, 1)
     z2 = zb * zb
@@ -442,7 +440,7 @@ def _simple_step(z: BiSeries, e: int) -> tuple[BiSeries, BiSeries]:
     z3 = z2.crop(cmax, e) * z.crop(cmax, e)
     dg = (z3.scale(4).shift(0, 1)
           + (z3 * z4.crop(cmax, e)).scale(32).shift(1, 2))
-    return g, dg
+    return g, dg, None
 
 
 def solve_simple(cmax: int, dmax: int) -> BiSeries:
@@ -450,7 +448,7 @@ def solve_simple(cmax: int, dmax: int) -> BiSeries:
     Newton's iteration, re-checked on the full box."""
     if cmax < 0 or dmax < 0:
         raise ValueError("box bounds must be nonnegative")
-    n4 = _newton(_simple_step, cmax, dmax, BiSeries.one(cmax, 0))
+    n4, _ = _newton(_simple_step, cmax, dmax, BiSeries.one(cmax, 0))
     if n4 != _simple_g(_below(n4, 1) ** 4, dmax):
         raise SolverError("simple-configuration equation violated")
     if n4.min_coefficient() < 0:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from forestcount import cli, solver, verify
 from forestcount.cli import main
+from forestcount.dp import dp_count
 from forestcount.formulas import (asymptotic_estimate, asymptotic_log,
                                   codim1_count, flat_count, simple_count)
 from forestcount.series import BiSeries
@@ -577,17 +578,28 @@ def test_forked_and_serial_runs_print_the_same(monkeypatch, capsys, argv):
 
 
 @needs_fork
-def test_count_shares_its_dp_route(monkeypatch, capsys):
-    # dp is the costliest item: this process fills its array while the
-    # worker solves both conventions
-    assert cli._cut(both(24, 20) + [verify.Work(dp=((24, 20),))]) == [0, 1]
+@pytest.mark.parametrize("argv", [DP_COUNT, BIG_COUNT], ids=["dp", "big"])
+def test_count_forks_its_conventions_only(monkeypatch, capsys, argv):
+    # dp_count runs in this process after the conventions come back,
+    # forked (BIG_COUNT) or not, and the output is the serial one
+    fork_map, items = cli._fork_map, []
+
+    def spy(names, *args):
+        items.append(list(names))
+        return fork_map(names, *args)
+
+    monkeypatch.setattr(cli, "_fork_map", spy)
     forks = two_cpus(monkeypatch)
-    forked = run(capsys, *DP_COUNT)
-    assert forked[0] == 2 and len(forks) == 1
+    forked = run(capsys, *argv)
+    assert items == [list(solver.CONVENTIONS)]
+    assert len(forks) == (argv == BIG_COUNT)
     assert_no_child_left()
+    c, d = int(argv[2]), int(argv[4])
+    values = json.loads(forked[1])["values"]
+    assert values["dp"] == str(dp_count(c, d))
+    assert forked[0] == (2 if argv == DP_COUNT else 0)
     two_cpus(monkeypatch, cpus=(0,))
-    assert run(capsys, *DP_COUNT) == forked
-    assert len(forks) == 1
+    assert run(capsys, *argv) == forked
 
 
 def test_no_fork_below_the_crossover_beside_a_thread_or_without_fork(

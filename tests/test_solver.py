@@ -233,9 +233,7 @@ def test_each_newton_step_takes_one_full_box_quotient(conv, monkeypatch):
                 return step(t, e)
             finally:
                 inside.pop()
-                counted.last = step.last
 
-        counted.last = None
         return counted
 
     monkeypatch.setattr(solver, "_system_step", counted_step)
@@ -402,7 +400,8 @@ def test_solve_path_rejects_a_wrong_tail(conv, monkeypatch):
         return newton(step, cmax, dmax, seed)
 
     def wrong_t(step, cmax, dmax, seed=None):
-        return spy(step, cmax, dmax, seed) + bump
+        t, kept = spy(step, cmax, dmax, seed)
+        return t + bump, kept
 
     def wrong_top(t, last):
         n1, n2, n3 = read_off(t, last)
@@ -518,7 +517,8 @@ def test_n1_of_runs_only_after_a_wrong_step(conv, monkeypatch):
     assert calls == []
 
     def bumped(step, cmax, dmax, seed=None):
-        return newton(step, cmax, dmax, seed) + bump
+        t, kept = newton(step, cmax, dmax, seed)
+        return t + bump, kept
 
     for c, d in ((8, 8), (0, 8), (0, 1), (conv.weight(1), 1)):
         bump = BiSeries.monomial(8, 8, c, d)
@@ -796,7 +796,7 @@ def test_a_bumped_seed_restarts_from_its_exact_rows(conv, newton_calls):
             seed = seed + BiSeries.monomial(8, 4, *bump)
         newton_calls.clear()
         steps.clear()
-        assert solver._newton(step, 8, 8, seed) == cold, bump
+        assert solver._newton(step, 8, 8, seed)[0] == cold, bump
         assert newton_calls == calls, bump
         assert len(steps) == taken, bump
 
@@ -839,7 +839,7 @@ def test_seeded_ladder_climbs_the_rungs_above_the_seed():
         for p in range(2, dmax + 1):
             steps.clear()
             assert _newton(spy, 0, dmax, deep.crop(0, p - 1)) == \
-                deep.crop(0, dmax), (dmax, p)
+                (deep.crop(0, dmax), None), (dmax, p)
             chain = [p] + [q for _, q in steps]
             assert steps == list(zip(chain, chain[1:])), (dmax, p)
             assert chain[1:] == [q for q in rungs if q > p], (dmax, p)

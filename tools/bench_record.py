@@ -6,7 +6,6 @@
     python3 tools/bench_record.py counts --parent DIR --change DIR --seed 11
     python3 tools/bench_record.py digests --parent DIR --change DIR
     python3 tools/bench_record.py costs --parent DIR --change DIR
-    python3 tools/bench_record.py steps --parent DIR --change DIR
 
 Each run is `python3 benchmarks/run.py --workload W --seed N --seconds S
 --trace 0` inside the checkout, S being run_seconds in this repository's
@@ -14,11 +13,15 @@ BENCHMARK.json, so both checkouts run for the same time.  The last two
 lines of its standard output, the environment line and the result, are
 appended to the BENCH file under the label `parent` or `change`, with a
 digest of the checkout's sources; the two checkouts run alternately, the
-parent first on odd seeds.
-`summary` prints, per workload and end-to-end metric, each side's median
-and quartiles and how many seed pairs the change won in the metric's
-`better` direction, and marks each metric with a verdict, `better` and
-the relative `bound` coming from BENCHMARK.json:
+parent first on odd seeds.  A run that exits nonzero is appended too,
+with its workload and seed, its `exit_code` and the last line of its
+standard error as `error`, and no `metrics`, and the schedule goes on.
+`summary` lists each workload's crashed runs by side and seed, and
+prints, over the seeds where both sides have metrics, per end-to-end
+metric each side's median and quartiles and how many seed pairs the
+change won in the metric's `better` direction, and marks each metric
+with a verdict, `better` and the relative `bound` coming from
+BENCHMARK.json:
 
     GAIN        the change won at least nine tenths of the pairs and the
                 medians differ, in the better direction, by more than the
@@ -34,48 +37,45 @@ one traced run) with one seed in each checkout, for every workload of
 BENCHMARK.json, and prints side by side the per-layer metrics whose unit
 is `count` or `bit`, marking DIFFERS where the two checkouts disagree.
 These counts repeat exactly from run to run, so one run per side
-suffices; it exits 1 if a run's outputs were wrong.  It then prints the
-hits and misses of the `series._pack` memo for three workloads, each in
-a fresh child per checkout (run as for `digests`): the odd and linear
-(64,32) solves, the odd (120,60) solve, where the memo evicts, and the
-count-session queries of the seed asked through count_configurations.
-A change that keeps every pack keeps all three.
+suffices; it exits 1 if a run crashed or its outputs were wrong.
 
-`digests` runs one child per checkout, with PYTHONPATH=<checkout>/src
-and the checkout as working directory, and prints side by side what a
-change that keeps every count and report must keep, as DIGEST_CHILD
-lists it: the SHA-256 of solver rows, among them boxes where the `_pack`
-memo evicts, every box with cmax <= 3 and dmax <= 3 (from no Newton
-step up to a last step from p = 2 with e = 1, the first whose product
-for n1's top rows lands on the box), seeded frontier sweeps, and, under
-the odd, linear, k^2 and 3k rules, each from an empty cache, a
-tall-then-wide sweep ((0,12), (1,12), (3,4), (10,6), (12,8), (16,10))
-and a widening-row sweep ((c,20) for c = 0, 4, ..., 40), where seeds of
-k^2 and 3k fail their first Newton step and restart; and the
-exit code and SHA-256 of CLI outputs, among them those the CLI shares
-with a forked worker on a machine with two CPUs or more (help is
-printed with COLUMNS=80, so that its width is fixed).
+`digests` runs DIGEST_CHILD in one child per checkout, with
+PYTHONPATH=<checkout>/src and the checkout as working directory, and
+prints side by side what a change that keeps every count, report, Newton
+step and packed product must keep:
+  - the SHA-256 of solver rows: boxes solved cold, among them boxes
+    where the `_pack` memo evicts, and every box with cmax <= 3 and
+    dmax <= 3 (from no Newton step up to a last step from p = 2 with
+    e = 1, the first whose product for n1's top rows lands on the box);
+    then, under the odd, linear, k^2 and 3k rules, each from an empty
+    cache, the sweeps every-F ((2F-1,F) for F = 2..24), frontier (F =
+    2, 4, ..., 24, the count-session's), tall-then-wide ((0,12), (1,12),
+    (3,4), (10,6), (12,8), (16,10)) and widening-row ((c,20) for c = 0,
+    4, ..., 40), where seeds of k^2 and 3k fail their first Newton step
+    and restart;
+  - the Newton steps and restarts of each sweep and of the count-session
+    queries of seed 1, asked through count_configurations: a step is a
+    call of the `step` that `solver._newton` receives, counted by
+    wrapping it, and a restart a `_newton` call made inside another;
+  - the hits and misses of the `series._pack` memo, each from an empty
+    memo and solution cache, for the odd and linear (64,32) solves, the
+    odd (120,60) solve, where the memo evicts, and the count-session
+    queries of seed 1;
+  - the exit code and SHA-256 of CLI outputs, among them those the CLI
+    shares with a forked worker on a machine with two CPUs or more (help
+    is printed with COLUMNS=80, so that its width is fixed).
 Digests are shown by their first 16 hex digits.  It marks each line
 where the checkouts differ with DIFFERS and exits 1 if any does.
 
 `costs` prints the times that the price rule of `cli._costs` is fitted
 to, in ms, each the best of --rounds rounds (5 by default) in one fresh
-child per checkout and job: every verify check's time in the serial
-suite, in list order (warm), and alone from an empty cache (cold), for
-the benchmark's suite and the default `verify`, beside the change's
-price of each (in order and alone); then the cold odd and linear solves
-of the boxes of README's fork crossover table beside the price of one.
-Each round clears the solution cache and the `_pack` memo first.
-
-`steps` runs one child per checkout (run as for `digests`) and prints
-side by side the Newton steps and restarts of each sweep, each from an
-empty cache: the count-session queries of seed 1, asked through
-count_configurations, and under the odd, linear, k^2 and 3k rules the
-count-session frontier ((2F-1,F) for F = 2, 4, ..., 24) and the
-tall-then-wide and widening-row sweeps of `digests`.  A step is a call
-of the `step` that `solver._newton` receives, counted by wrapping it; a
-restart is a `_newton` call made inside another.  It marks each line
-where the checkouts differ with DIFFERS and exits 1 if any does.
+child per checkout and job, beside that checkout's price of each: every
+verify check's time in the serial suite, in list order (warm), and alone
+from an empty cache (cold), for the benchmark's suite and the default
+`verify`, with its price in order and alone; then the cold odd and
+linear solves of the boxes of README's fork crossover table with the
+price of one.  Each round clears the solution cache and the `_pack` memo
+first.
 
 Standard library only.
 """
@@ -112,13 +112,20 @@ def source_digest(checkout: Path) -> str:
 
 def run_once(checkout: Path, workload: str, seed: int,
              trace: int = 0) -> dict:
+    """The environment and result lines of one run, or, when it exits
+    nonzero, its workload and seed, exit code and last standard error
+    line."""
     seconds = 0 if trace else RUN_SECONDS
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, check=True, text=True,
-                         stdout=subprocess.PIPE).stdout
-    env_line, result_line = out.strip().splitlines()[-2:]
+    done = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
+    if done.returncode:
+        err = done.stderr.strip().splitlines() or [""]
+        return {"env": {"workload": workload, "seed": seed,
+                        "seconds": seconds, "trace": trace},
+                "exit_code": done.returncode, "error": err[-1]}
+    env_line, result_line = done.stdout.strip().splitlines()[-2:]
     return {**json.loads(env_line), **json.loads(result_line)}
 
 
@@ -132,13 +139,18 @@ def append(out: Path, label: str, checkout: Path, record: dict) -> None:
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def crash(run: dict) -> str:
+    return f"exit {run['exit_code']}: {run['error']}"
+
+
 def record(out: Path, label: str, checkout: Path, workload: str,
            seed: int) -> None:
     rec = run_once(checkout, workload, seed)
     append(out, label, checkout, rec)
-    print(f"{label:6} {workload} seed {seed}: wall_s "
-          f"{rec['metrics']['wall_s']['value']:.4f} "
-          f"correct={rec['correct']}", flush=True)
+    print(f"{label:6} {workload} seed {seed}: "
+          + (f"wall_s {rec['metrics']['wall_s']['value']:.4f} "
+             f"correct={rec['correct']}" if "metrics" in rec
+             else crash(rec)), flush=True)
 
 
 def seed_range(text: str) -> list[int]:
@@ -157,16 +169,21 @@ def summary(path: Path) -> None:
     runs = json.loads(path.read_text())["runs"]
     workloads = sorted({r["env"]["workload"] for r in runs})
     for w in workloads:
-        by = {lab: {r["env"]["seed"]: r for r in runs
-                    if r["label"] == lab and r["env"]["workload"] == w}
+        ran = [r for r in runs if r["env"]["workload"] == w]
+        by = {lab: {r["env"]["seed"]: r for r in ran
+                    if r["label"] == lab and "metrics" in r}
               for lab in LABELS}
         seeds = sorted(set(by["parent"]) & set(by["change"]))
         unpaired = sum(len(by[lab]) for lab in LABELS) - 2 * len(seeds)
-        if not seeds:
-            print(f"{w}: no complete pair, {unpaired} unpaired runs skipped")
-            continue
-        print(f"{w}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}"
+        print(f"{w}: " + (f"{len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}"
+                          if seeds else "no complete pair")
               + (f", {unpaired} unpaired runs skipped" if unpaired else ""))
+        for r in ran:
+            if "metrics" not in r:
+                print(f"  crashed: {r['label']} seed {r['env']['seed']}, "
+                      + crash(r))
+        if not seeds:
+            continue
         for name in by["parent"][seeds[0]]["metrics"]:
             pv = [by["parent"][s]["metrics"][name]["value"] for s in seeds]
             cv = [by["change"][s]["metrics"][name]["value"] for s in seeds]
@@ -194,52 +211,28 @@ def summary(path: Path) -> None:
 
 def counts(parent: Path, change: Path, seed: int) -> bool:
     """Print the count and bit metrics of both checkouts side by side;
-    return whether every run's outputs were correct."""
+    return whether every run finished with correct outputs."""
     correct = True
     for w in (w["name"] for w in BENCHMARK["workloads"]):
         runs = [run_once(checkout.resolve(), w, seed, trace=1)
                 for checkout in (parent, change)]
         print(f"{w}, seed {seed}:")
         for label, run in zip(LABELS, runs):
-            if not run["correct"]:
-                correct = False
+            if "metrics" not in run:
+                print(f"  {label} run crashed, {crash(run)}")
+            elif not run["correct"]:
                 print(f"  {label} run had wrong outputs "
                       f"({run['failed']} of {run['attempted']} failed)")
+        if not all(run.get("correct") for run in runs):
+            correct = False
+        if any("metrics" not in run for run in runs):
+            continue
         print(f"  {'metric':28} {'parent':>14} {'change':>14}")
         for name in COUNTED:
             p, c = (r["metrics"][name]["value"] for r in runs)
             print(f"  {name:28} {p:>14,} {c:>14,}"
                   + ("  DIFFERS" if p != c else ""))
-    print(f"series._pack memo, seed {seed}:")
-    print(f"  {'workload':28} {'parent':>14} {'change':>14}")
-    for w in MEMO_WORKLOADS:
-        sides = [child(checkout, MEMO_CHILD, w, str(seed))
-                 for checkout in (parent, change)]
-        for i, what in enumerate(("hits", "misses")):
-            p, c = (side[i] for side in sides)
-            print(f"  {w + ' ' + what:28} {p:>14,} {c:>14,}"
-                  + ("  DIFFERS" if p != c else ""))
     return correct
-
-
-MEMO_WORKLOADS = ("(64,32) solves", "odd (120,60) solve", "count-session")
-MEMO_CHILD = r"""
-import json, sys
-from forestcount import count_configurations, series, solve_system
-
-if sys.argv[1] == "(64,32) solves":
-    for conv in ("odd", "linear"):
-        solve_system(conv, 64, 32)
-elif sys.argv[1] == "odd (120,60) solve":
-    solve_system("odd", 120, 60)
-else:
-    sys.path.insert(0, "benchmarks")
-    from workloads import session_queries
-    for c, d, conv in session_queries(int(sys.argv[2])):
-        count_configurations(c, d, conv)
-info = series._pack.cache_info()
-print(json.dumps([info.hits, info.misses]))
-"""
 
 
 def child(checkout: Path, code: str, *args: str):
@@ -254,10 +247,14 @@ def child(checkout: Path, code: str, *args: str):
 
 
 DIGEST_CHILD = r"""
-import contextlib, hashlib, io, json, os, pathlib
+import contextlib, hashlib, io, json, os, pathlib, sys
+from forestcount import count_configurations, series, solver
 from forestcount.cli import main
 from forestcount.solver import (CodimWeight, cached_solution, clear_cache,
                                 solve_simple, solve_system)
+
+sys.path.insert(0, "benchmarks")
+from workloads import SESSION_FRONTIERS, session_queries
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -275,38 +272,77 @@ def cli(*argv):
             code = exc.code
     return code, out.getvalue()
 
+newton, tally, depth = solver._newton, [0, 0], [0]
+
+def counted_newton(step, cmax, dmax, seed=None):
+    # a _newton call inside another is a restart, with the step wrapped
+    # by the outer call already; results pass through untouched
+    if depth[0]:
+        tally[1] += 1
+        return newton(step, cmax, dmax, seed)
+
+    def counted(t, e):
+        tally[0] += 1
+        return step(t, e)
+
+    depth[0] += 1
+    try:
+        return newton(counted, cmax, dmax, seed)
+    finally:
+        depth[0] -= 1
+
+solver._newton = counted_newton
+
+def block(run):
+    # run() from an empty solution cache and _pack memo: its Newton
+    # steps / restarts and its _pack hits / misses
+    clear_cache()
+    series._pack.cache_clear()
+    tally[:] = [0, 0]
+    run()
+    info = series._pack.cache_info()
+    return f"{tally[0]} / {tally[1]}", f"{info.hits} / {info.misses}"
+
 lines = {}
-boxes = [(conv, cmax, dmax) for conv in ("odd", "linear")
-         for cmax, dmax in ((64, 32), (47, 24), (40, 20), (0, 30))]
-for conv, cmax, dmax in boxes + [("odd", 30, 60), ("odd", 120, 60)]:
-    sol = solve_system(conv, cmax, dmax)
-    lines[f"{conv} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
-square = CodimWeight("square", lambda k: k * k)
-sol = solve_system(square, 40, 20)
-lines["k^2 (40,20) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
-for name, conv in (("odd", "odd"), ("linear", "linear"), ("k^2", square)):
+rules = {"odd": "odd", "linear": "linear",
+         "k^2": CodimWeight("square", lambda k: k * k),
+         "3k": CodimWeight("triple", lambda k: 3 * k)}
+
+def solved(name, cmax, dmax):
+    sol = solve_system(rules[name], cmax, dmax)
+    lines[f"{name} ({cmax},{dmax}) n1/n2/n3"] = rows(sol.n1, sol.n2, sol.n3)
+
+lines["(64,32) solves _pack hits / misses"] = block(
+    lambda: [solved(name, 64, 32) for name in ("odd", "linear")])[1]
+lines["odd (120,60) solve _pack hits / misses"] = block(
+    lambda: solved("odd", 120, 60))[1]
+for name in ("odd", "linear"):
+    for cmax, dmax in ((47, 24), (40, 20), (0, 30)):
+        solved(name, cmax, dmax)
+solved("odd", 30, 60)
+solved("k^2", 40, 20)
+for name, conv in rules.items():
     sols = [solve_system(conv, cmax, dmax)
             for cmax in range(4) for dmax in range(4)]
     lines[f"{name} every (c<=3,d<=3) n1/n2/n3"] = rows(
         *(s for sol in sols for s in (sol.n1, sol.n2, sol.n3)))
-for name, conv, top in (("odd", "odd", 24), ("linear", "linear", 24),
-                        ("k^2", square, 16)):
-    clear_cache()
-    for f in range(2, top + 1):
-        sol = cached_solution(conv, 2 * f - 1, f)
-        lines[f"sweep {name} (2F-1,F) F={f}"] = rows(sol.n1, sol.n2, sol.n3)
-triple = CodimWeight("triple", lambda k: 3 * k)
-sweeps = {"tall-then-wide": ((0, 12), (1, 12), (3, 4), (10, 6), (12, 8),
+steps, memo = block(lambda: [count_configurations(c, d, conv)
+                             for c, d, conv in session_queries(1)])
+lines["count-session seed 1 steps / restarts"] = steps
+lines["count-session seed 1 _pack hits / misses"] = memo
+sweeps = {"every-F": tuple((2 * f - 1, f) for f in range(2, 25)),
+          "frontier": tuple((2 * f - 1, f) for f in SESSION_FRONTIERS),
+          "tall-then-wide": ((0, 12), (1, 12), (3, 4), (10, 6), (12, 8),
                              (16, 10)),
           "widening-row": tuple((c, 20) for c in range(0, 41, 4))}
-for name, conv in (("odd", "odd"), ("linear", "linear"), ("k^2", square),
-                   ("3k", triple)):
-    for sweep, sizes in sweeps.items():
-        clear_cache()
-        for cmax, dmax in sizes:
-            sol = cached_solution(conv, cmax, dmax)
-            lines[f"{sweep} {name} ({cmax},{dmax})"] = rows(sol.n1, sol.n2,
-                                                            sol.n3)
+for sweep, boxes in sweeps.items():
+    for name, conv in rules.items():
+        def walk():
+            for cmax, dmax in boxes:
+                sol = cached_solution(conv, cmax, dmax)
+                lines[f"{sweep} {name} ({cmax},{dmax})"] = rows(
+                    sol.n1, sol.n2, sol.n3)
+        lines[f"{sweep} {name} steps / restarts"] = block(walk)[0]
 clear_cache()
 lines["solve_simple(20,40)"] = rows(solve_simple(20, 40))
 code, out = cli("verify", "--format", "jsonl")
@@ -363,7 +399,7 @@ COST_BOXES = ((2, 2), (8, 4), (20, 10), (200, 10), (24, 12), (100, 12),
               (48, 24), (0, 200), (64, 32), (120, 60))
 COSTS_CHILD = r"""
 import json, sys, time
-from forestcount import series, solver, verify
+from forestcount import cli, series, solver, verify
 
 def cold():
     solver.clear_cache()
@@ -386,8 +422,11 @@ if isinstance(job, dict):       # one suite's overrides
         for name in names:
             cold()
             alone[name].append(ms(verify.CHECKS[name], **job.get(name, {})))
-    print(json.dumps({name: [min(warm[name]), min(alone[name])]
-                      for name in names}))
+    works = [verify.WORK[name](**job.get(name, {})) for name in names]
+    in_order = cli._costs(works)
+    print(json.dumps({name: [min(warm[name]), min(alone[name]), in_order[i],
+                             cli._costs(works[i:i + 1])[0]]
+                      for i, name in enumerate(names)}))
 else:                           # boxes to solve cold, by rule
     times = {}
     for cmax, dmax in job:
@@ -396,109 +435,41 @@ else:                           # boxes to solve cold, by rule
             for _ in range(rounds):
                 cold()
                 best.append(ms(solver.solve_system, rule, cmax, dmax))
-            times[f"{rule} ({cmax},{dmax})"] = [min(best)]
+            times[f"{rule} ({cmax},{dmax})"] = [min(best),
+                                                cli._solve_ms(cmax, dmax)]
     print(json.dumps(times))
-"""
-PRICE_CHILD = r"""
-import json, sys
-from forestcount import cli, verify
-
-job = json.loads(sys.argv[1])
-if isinstance(job, dict):
-    works = [verify.WORK[name](**job.get(name, {})) for name in verify.CHECKS]
-    in_order = cli._costs(works)
-    print(json.dumps({name: [in_order[i], cli._costs(works[i:i + 1])[0]]
-                      for i, name in enumerate(verify.CHECKS)}))
-else:
-    print(json.dumps({f"{rule} ({c},{d})": [cli._solve_ms(c, d)]
-                      for c, d in job for rule in ("odd", "linear")}))
 """
 
 
 def costs(parent: Path, change: Path, rounds: int) -> None:
     """Print each check's measured time in the serial suite (warm) and
-    alone (cold) in both checkouts beside the change's price, for the
-    suites of COST_SUITES, then each COST_BOXES box's cold solve time
-    beside its price.  Every checkout runs each job in one fresh child,
-    the best of `rounds` rounds, each round from an empty cache."""
+    alone (cold) beside its price in order and alone, in both checkouts,
+    for the suites of COST_SUITES, then each COST_BOXES box's cold solve
+    time beside its price.  Every checkout runs each job in one fresh
+    child, the best of `rounds` rounds, each round from an empty cache,
+    and prices it with its own price rule."""
     for label, job in [*COST_SUITES.items(), ("cold solves", COST_BOXES)]:
-        text = json.dumps(job)
-        sides = [child(checkout, COSTS_CHILD, str(rounds), text)
+        sides = [child(checkout, COSTS_CHILD, str(rounds), json.dumps(job))
                  for checkout in (parent, change)]
-        prices = child(change, PRICE_CHILD, text)
-        print(f"{label} (ms; best of {rounds}):")
-        if isinstance(job, dict):
-            print(f"  {'check':20} {'parent':>15} {'change':>15} "
-                  f"{'price':>15}")
-            print(f"  {'':20} " + " ".join(f"{h:>7}" for h in
-                                            ("warm", "cold") * 3))
-        else:
-            print(f"  {'box':20} {'parent':>7} {'change':>7} {'price':>7}")
-        rows = {name: sides[0][name] + sides[1][name] + price
-                for name, price in prices.items()}
+        item, heads = (("check", ("warm", "cold", "p.warm", "p.cold"))
+                       if isinstance(job, dict) else ("box", ("solve", "price")))
+        width = 8 * len(heads) - 1
+        print(f"{label} (ms; best of {rounds}; p. is the checkout's price):")
+        print(f"  {item:20} {'parent':>{width}} {'change':>{width}}")
+        print(f"  {'':20} " + " ".join(f"{h:>7}" for h in heads * 2))
+        rows = {name: sides[0][name] + sides[1][name] for name in sides[0]}
         if isinstance(job, dict):
             rows["all"] = [sum(col) for col in zip(*rows.values())]
         for name, row in rows.items():
             print(f"  {name:20} " + " ".join(f"{v:7.1f}" for v in row))
 
 
-STEPS_CHILD = r"""
-import json, sys
-from forestcount import count_configurations, solver
-from forestcount.solver import CodimWeight, cached_solution, clear_cache
-
-newton, tally, depth = solver._newton, [0, 0], [0]
-
-def counted_newton(step, cmax, dmax, seed=None):
-    # a _newton call inside another is a restart, with the step wrapped
-    # by the outer call already
-    if depth[0]:
-        tally[1] += 1
-        return newton(step, cmax, dmax, seed)
-
-    def counted(t, e):
-        tally[0] += 1
-        return step(t, e)
-
-    depth[0] += 1
-    try:
-        return newton(counted, cmax, dmax, seed)
-    finally:
-        depth[0] -= 1
-
-solver._newton = counted_newton
-
-def run(solves):
-    clear_cache()
-    tally[:] = [0, 0]
-    solves()
-    return f"{tally[0]} / {tally[1]}"
-
-sys.path.insert(0, "benchmarks")
-from workloads import SESSION_FRONTIERS, session_queries
-lines = {"count-session seed 1": run(lambda: [
-    count_configurations(c, d, conv) for c, d, conv in session_queries(1)])}
-rules = {"odd": "odd", "linear": "linear",
-         "k^2": CodimWeight("square", lambda k: k * k),
-         "3k": CodimWeight("triple", lambda k: 3 * k)}
-sweeps = {"frontier": tuple((2 * f - 1, f) for f in SESSION_FRONTIERS),
-          "tall-then-wide": ((0, 12), (1, 12), (3, 4), (10, 6), (12, 8),
-                             (16, 10)),
-          "widening-row": tuple((c, 20) for c in range(0, 41, 4))}
-for sweep, boxes in sweeps.items():
-    for name, conv in rules.items():
-        lines[f"{sweep} {name}"] = run(lambda: [
-            cached_solution(conv, *box) for box in boxes])
-print(json.dumps(lines))
-"""
-
-
-def side_by_side(parent: Path, change: Path, code: str, what: str) -> bool:
-    """Run code (DIGEST_CHILD or STEPS_CHILD) in one child per checkout,
-    print its lines side by side and return whether they all agree."""
-    sides = [child(checkout, code) for checkout in (parent, change)]
+def digests(parent: Path, change: Path) -> bool:
+    """Run DIGEST_CHILD in one child per checkout, print its lines side
+    by side and return whether they all agree."""
+    sides = [child(checkout, DIGEST_CHILD) for checkout in (parent, change)]
     same = True
-    print(f"{what:44} {'parent':>24} {'change':>24}")
+    print(f"{'output':44} {'parent':>24} {'change':>24}")
     for name, p in sides[0].items():
         c = sides[1][name]
         same = same and p == c
@@ -528,9 +499,6 @@ def main(argv=None) -> int:
     digest = sub.add_parser("digests")
     digest.add_argument("--parent", type=Path, required=True)
     digest.add_argument("--change", type=Path, required=True)
-    step = sub.add_parser("steps")
-    step.add_argument("--parent", type=Path, required=True)
-    step.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
 
     if args.cmd == "summary":
@@ -539,10 +507,8 @@ def main(argv=None) -> int:
         return 0 if counts(args.parent, args.change, args.seed) else 1
     elif args.cmd == "costs":
         costs(args.parent, args.change, args.rounds)
-    elif args.cmd in ("digests", "steps"):
-        code, what = ((DIGEST_CHILD, "output") if args.cmd == "digests"
-                      else (STEPS_CHILD, "sweep (steps / restarts)"))
-        return 0 if side_by_side(args.parent, args.change, code, what) else 1
+    elif args.cmd == "digests":
+        return 0 if digests(args.parent, args.change) else 1
     else:
         for seed in args.seeds:
             order = LABELS if seed % 2 else LABELS[::-1]
